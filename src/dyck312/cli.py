@@ -2,14 +2,17 @@
 rendering, and the cross-validation suite.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
-2 usage or parse errors. Output is deterministic for fixed arguments; JSON
-documents carry schema_version 1.
+2 usage or parse errors, or an --out file that cannot be written. Output is
+deterministic for fixed arguments; JSON documents carry schema_version 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
 
 from . import bijection, dyck, eco, genfunc, prodmat
@@ -18,7 +21,7 @@ from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
 LARGE_N_LIMIT = 512  # polynomial-time methods stay exact well past this; a sanity rail
-METHODS = ("recurrence", "series", "matrix", "brute", "eco")
+METHODS = {"recurrence": 2, "series": 1, "matrix": 2, "brute": 1, "eco": 3}  # name -> smallest --h
 
 
 class UsageError(Exception):
@@ -33,10 +36,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (dyck.CapExceeded, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MethodDisagreement as exc:
@@ -57,12 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count class members for sizes 0..N-MAX")
     p.add_argument("--h", type=int, required=True, help="height bound")
     p.add_argument("--n-max", type=int, required=True, help="largest size to count")
-    p.add_argument("--method", choices=METHODS + ("all",), default="all")
-    p.add_argument(
-        "--check-all",
-        action="store_true",
-        help="alias for --method all: compute every applicable method and compare",
-    )
+    p.add_argument("--method", choices=(*METHODS, "all"), default="all")
     p.add_argument("--k", type=int, default=2, help="valley-run bound (brute only)")
     p.add_argument("--cap", type=int, default=None, help="enumeration/tree size cap")
     _output_flags(p, ("text", "csv", "json"))
@@ -125,11 +120,32 @@ def _output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        # a device, pipe or directory: there is no file to replace, so write through it
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return
+    # write beside the file a symlink resolves to and rename, so a failed write
+    # leaves no partial file; the pid keeps the temporary name private to this run
+    target = os.path.realpath(out)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, out) from exc
 
 
 def _json_doc(command: str, payload: dict) -> str:
@@ -143,8 +159,6 @@ def _json_doc(command: str, payload: dict) -> str:
 
 def _cmd_count(args) -> int:
     h, n_max, k = args.h, args.n_max, args.k
-    if args.check_all:
-        args.method = "all"
     if h < 1:
         raise UsageError("--h must be >= 1")
     if n_max < 0:
@@ -158,20 +172,16 @@ def _cmd_count(args) -> int:
     tree_cap = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
 
     def compute(method: str) -> list[int]:
+        if h < METHODS[method]:
+            raise UsageError(f"--method {method} needs --h >= {METHODS[method]}")
         if method == "recurrence":
-            if h < 2:
-                raise UsageError("--method recurrence needs --h >= 2")
             return list(genfunc.count_sequence(h, n_max))
         if method == "series":
             return list(genfunc.series(genfunc.generating_function(h), n_max))
         if method == "matrix":
-            if h < 2:
-                raise UsageError("--method matrix needs --h >= 2")
             return list(prodmat.level_totals(prodmat.production_matrix(h), 1, n_max))
         if method == "brute":
             return [dyck.count_brute(n, h, k, cap=enum_cap) for n in range(n_max + 1)]
-        if h < 3:
-            raise UsageError("--method eco needs --h >= 3")
         return [len(level) for level in eco.iter_levels(h, n_max, cap=tree_cap)]
 
     if args.method == "all":
@@ -213,13 +223,13 @@ def _cmd_count(args) -> int:
 
 
 def _applicable(method: str, h: int, n_max: int, enum_cap: int, tree_cap: int) -> bool:
-    if method in ("recurrence", "matrix"):
-        return h >= 2 and n_max <= LARGE_N_LIMIT
-    if method == "series":
-        return n_max <= LARGE_N_LIMIT
+    if h < METHODS[method]:
+        return False
     if method == "brute":
         return n_max <= enum_cap
-    return h >= 3 and n_max <= tree_cap
+    if method == "eco":
+        return n_max <= tree_cap
+    return n_max <= LARGE_N_LIMIT
 
 
 # ---------------------------------------------------------------- list
@@ -288,20 +298,21 @@ def _cmd_tree(args) -> int:
     if args.depth > cap:
         raise dyck.CapExceeded(f"depth {args.depth} exceeds tree cap {cap}")
 
-    def render(p: dyck.DyckPath) -> str:
+    def render(word: str) -> str:
         if args.kind == "perms":
-            return str(bijection.path_to_perm(p))
-        return p.word
+            return str(bijection.path_to_perm(dyck.DyckPath(word)))
+        return word
 
-    def build(p: dyck.DyckPath, level: int) -> dict:
-        node = {"label": eco.label_of(p, args.h), "object": render(p)}
+    def build(word: str, label: int, level: int) -> dict:
+        node = {"label": label, "object": render(word)}
         if level < args.depth:
-            node["children"] = [build(c, level + 1) for c in eco.children(p, args.h)]
+            node["children"] = [build(w, lab, level + 1) for w, lab in eco.grow(word, args.h)]
         else:
             node["children"] = []
         return node
 
-    root = build(dyck.EMPTY_PATH, 0)
+    # label_of validates h and the root once; grow's children are members by construction
+    root = build("", eco.label_of(dyck.EMPTY_PATH, args.h), 0)
 
     if args.format == "text":
         lines: list[str] = []

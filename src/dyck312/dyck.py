@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 DEFAULT_CAP = 14  # exhaustive-enumeration bound; semilength 14 is ~2.7M paths
 
@@ -42,11 +41,6 @@ class CapExceeded(ValueError):
     """Requested size is beyond the configured enumeration cap."""
 
 
-class Step(Enum):
-    UP = "U"
-    DOWN = "D"
-
-
 @dataclass(frozen=True, slots=True)
 class DyckPath:
     """A Dyck path as its U/D word; the empty word is the empty path.
@@ -56,10 +50,6 @@ class DyckPath:
     """
 
     word: str
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(Step(c) for c in self.word)
 
     @property
     def semilength(self) -> int:

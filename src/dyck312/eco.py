@@ -66,21 +66,32 @@ def _initial_ups(word: str) -> int:
     return t
 
 
-def children(p: DyckPath, h: int) -> list[DyckPath]:
-    """Insert a UD peak at each active site, in site order.
+def _label(run: int, h: int) -> Label:
+    """Label of a path whose initial up-run has length run: run+1, except h-1
+    when the run reaches h. The empty path (run 0) gets 1."""
+    return h - 1 if run == h else run + 1
 
-    A path starting with t ups has sites before each of those ups plus one
+
+def grow(word: str, h: int) -> list[tuple[str, Label]]:
+    """One peak-insertion step: (child word, child label) per active site, in
+    site order.
+
+    A word starting with t ups has sites before each of those ups plus one
     right after the run (t+1 sites) when t < h, and only the sites before the
-    first h-1 ups when t = h. The empty path grows into UD.
+    first h-1 ups when t = h. Inserting UD at site i gives the child an
+    initial run of i+1. The empty word grows into UD. The word must be a
+    class member and h >= 3; children() and label_of() check both.
     """
+    t = _initial_ups(word)
+    sites = t + 1 if t < h else h - 1
+    return [(word[:i] + "UD" + word[i:], _label(i + 1, h)) for i in range(sites)]
+
+
+def children(p: DyckPath, h: int) -> list[DyckPath]:
+    """Insert a UD peak at each active site, in site order (see grow)."""
     _require_h(h)
     _require_member(p, h)
-    w = p.word
-    if not w:
-        return [DyckPath("UD")]
-    t = _initial_ups(w)
-    sites = t + 1 if t < h else h - 1
-    return [DyckPath(w[:i] + "UD" + w[i:]) for i in range(sites)]
+    return [DyckPath(w) for w, _ in grow(p.word, h)]
 
 
 def label_of(p: DyckPath, h: int) -> Label:
@@ -88,10 +99,7 @@ def label_of(p: DyckPath, h: int) -> Label:
     when the initial run has length exactly h."""
     _require_h(h)
     _require_member(p, h)
-    if not p.word:
-        return 1
-    t = _initial_ups(p.word)
-    return h - 1 if t == h else t + 1
+    return _label(_initial_ups(p.word), h)
 
 
 def succession_rule(h: int) -> SuccessionRule:
@@ -132,8 +140,8 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
     """Yield levels 0..n_max of the path generating tree, breadth-first.
 
     Children appear in parent order then site order, so output is
-    reproducible. Parents are class members by construction, so the per-node
-    membership check of children() is skipped here.
+    reproducible. Parents are class members by construction, so grow() runs
+    without the per-node membership check of children().
     """
     _require_h(h)
     if n_max < 0:
@@ -143,20 +151,12 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
     level = [TreeNode(dyck.EMPTY_PATH, 1, 0)]
     yield level
     for depth in range(1, n_max + 1):
-        nxt: list[TreeNode] = []
-        for node in level:
-            w = node.obj.word
-            if not w:
-                nxt.append(TreeNode(DyckPath("UD"), 2, depth))
-                continue
-            t = _initial_ups(w)
-            sites = t + 1 if t < h else h - 1
-            for i in range(sites):
-                run = i + 1  # initial up-run length of the child
-                label = h - 1 if run == h else run + 1
-                nxt.append(TreeNode(DyckPath(w[:i] + "UD" + w[i:]), label, depth))
-        yield nxt
-        level = nxt
+        level = [
+            TreeNode(DyckPath(w), label, depth)
+            for node in level
+            for w, label in grow(node.obj.word, h)
+        ]
+        yield level
 
 
 def generate_level(h: int, n: int, cap: int = DEFAULT_TREE_CAP) -> list[TreeNode]:
@@ -196,7 +196,4 @@ def perm_label(pi: Permutation, h: int) -> Label:
     _require_h(h)
     if not perm.in_class(pi, h):
         raise NotInClass(f"permutation '{pi}' is not in the height-{h} class")
-    if not pi.entries:
-        return 1
-    first = pi.entries[0]
-    return h - 1 if first == h else first + 1
+    return _label(pi.entries[0] if pi.entries else 0, h)

@@ -4,7 +4,7 @@ The counting series for height bound h is a quotient of integer polynomials:
 the denominator family satisfies d(h) = d(h-1) - x*d(h-2) with d(1) = 1 and
 d(2) = 1 - x - x^2, and the series for bound h is d(h-1)/d(h). Height 1 is
 the special series 1 + x. Everything here is integer arithmetic; each
-division happens after full multiplication and is asserted exact.
+division happens after full multiplication and is checked exact.
 """
 
 from __future__ import annotations
@@ -162,14 +162,10 @@ def count_sequence(h: int, n_max: int) -> tuple[int, ...]:
         for j in range(1, min(jmax, m) + 1):
             acc += coeffs[j - 1] * counts[m - j]
         corr = (3 * m - h - 1) * binom(h - m, m - 1) * (-1) ** m
-        assert corr % m == 0  # numerator coefficient; always an integer
+        if corr % m:  # numerator coefficient; always an integer
+            raise NonIntegralCoefficient(f"(h={h}, m={m}): {corr} not divisible by {m}")
         counts.append(acc - corr // m)
     return tuple(counts)
-
-
-def count_recurrence(h: int, n: int) -> int:
-    """Number of semilength-n paths of height <= h with no valley at h-1."""
-    return count_sequence(h, n)[n]
 
 
 def catalan_identity(n: int, alpha: int) -> bool:

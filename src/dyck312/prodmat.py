@@ -4,6 +4,7 @@ construction from a rule, and level counting by iterated row-vector products."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .eco import Label, SuccessionRule
 
@@ -73,37 +74,31 @@ def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
     return ProductionMatrix(rows)
 
 
-def _multiply(vec: list[int], rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    d = len(rows)
-    return [sum(vec[i] * rows[i][j] for i in range(d)) for j in range(d)]
+def _level_vectors(matrix: ProductionMatrix, axiom: Label, n_max: int) -> Iterator[list[int]]:
+    """Label counts of levels 0..n_max: the axiom's unit row vector, then one
+    row-vector product with the matrix per level."""
+    d = matrix.dimension
+    if not 1 <= axiom <= d:
+        raise ValueError(f"axiom ({axiom}) outside 1..{d}")
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    rows = matrix.rows
+    vec = [0] * d
+    vec[axiom - 1] = 1
+    yield vec
+    for _ in range(n_max):
+        vec = [sum(vec[i] * rows[i][j] for i in range(d)) for j in range(d)]
+        yield vec
 
 
 def level_count(matrix: ProductionMatrix, axiom: Label, n: int) -> tuple[int, LevelVector]:
     """Level-n label counts: the axiom's unit row vector times the matrix n
     times, plus its entry sum."""
-    d = matrix.dimension
-    if not 1 <= axiom <= d:
-        raise ValueError(f"axiom ({axiom}) outside 1..{d}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    vec = [0] * d
-    vec[axiom - 1] = 1
-    for _ in range(n):
-        vec = _multiply(vec, matrix.rows)
+    for vec in _level_vectors(matrix, axiom, n):
+        pass
     return sum(vec), tuple(vec)
 
 
 def level_totals(matrix: ProductionMatrix, axiom: Label, n_max: int) -> tuple[int, ...]:
     """Level sizes 0..n_max in one sweep."""
-    d = matrix.dimension
-    if not 1 <= axiom <= d:
-        raise ValueError(f"axiom ({axiom}) outside 1..{d}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    vec = [0] * d
-    vec[axiom - 1] = 1
-    totals = [1]
-    for _ in range(n_max):
-        vec = _multiply(vec, matrix.rows)
-        totals.append(sum(vec))
-    return tuple(totals)
+    return tuple(sum(vec) for vec in _level_vectors(matrix, axiom, n_max))

@@ -2,8 +2,9 @@
 
 Each check re-derives one of the package's structural claims from scratch
 (exhaustive enumeration, factorial filtering, level-by-level tree walks) and
-reports a named pass/fail result. The pytest suite asserts the same facts
-independently; this module exists so the checks can be run from the shell.
+reports a named pass/fail result. This module is the one statement of these
+checks: `dyck312 verify` runs them from the shell, and the acceptance tests
+run them at larger bounds.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def run(scope: str = "all", bounds: VerifyBounds = VerifyBounds()) -> list[Check
     return results
 
 
+def _result(name: str, bad: list, covered: str) -> CheckResult:
+    """Pass with the covered bounds as detail, or fail on the first bad case."""
+    return CheckResult(name, not bad, covered if not bad else f"first failure: {bad[0]}")
+
+
 def _avoiders(n: int) -> list[perm_mod.Permutation]:
     return [
         pi
@@ -65,14 +71,8 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
         for p in dyck.enumerate_dyck(n):
             pi = bijection.path_to_perm(p)
             if not perm_mod.avoids_312(pi) or bijection.perm_to_path(pi) != p:
-                bad.append(p.word)
-    out.append(
-        CheckResult(
-            "path-round-trip",
-            not bad,
-            f"n<={n_max}" if not bad else f"first failure: {bad[0]!r}",
-        )
-    )
+                bad.append(repr(p.word))
+    out.append(_result("path-round-trip", bad, f"n<={n_max}"))
 
     perm_n = min(n_max, 9)
     avoiders = {n: _avoiders(n) for n in range(perm_n + 1)}
@@ -83,13 +83,7 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
         for pi in pis:
             if bijection.path_to_perm(bijection.perm_to_path(pi)) != pi:
                 bad.append(str(pi))
-    out.append(
-        CheckResult(
-            "perm-round-trip",
-            not bad,
-            f"n<={perm_n}" if not bad else f"first failure: {bad[0]}",
-        )
-    )
+    out.append(_result("perm-round-trip", bad, f"n<={perm_n}"))
 
     cubic_n = min(n_max, 8)
     bad = []
@@ -98,26 +92,14 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
             pi = perm_mod.Permutation(t)
             if perm_mod.avoids_312(pi) != perm_mod.avoids_312_cubic(pi):
                 bad.append(str(pi))
-    out.append(
-        CheckResult(
-            "stack-matches-cubic",
-            not bad,
-            f"n<={cubic_n}" if not bad else f"first failure: {bad[0]}",
-        )
-    )
+    out.append(_result("stack-matches-cubic", bad, f"n<={cubic_n}"))
 
     bad = []
     for n in range(n_max + 1):
         for p in dyck.enumerate_dyck(n):
             if bijection.lrm_heights(bijection.path_to_perm(p)) != _down_run_trace(p):
-                bad.append(p.word)
-    out.append(
-        CheckResult(
-            "lrm-excess-heights",
-            not bad,
-            f"n<={n_max}" if not bad else f"first failure: {bad[0]!r}",
-        )
-    )
+                bad.append(repr(p.word))
+    out.append(_result("lrm-excess-heights", bad, f"n<={n_max}"))
 
     bad = []
     for n in range(perm_n + 1):
@@ -133,13 +115,7 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
             valley_set = {pi for pi in avoiders[n] if perm_mod.in_class(pi, h)}
             if height_image != height_set or valley_image != valley_set:
                 bad.append(f"n={n}, h={h}")
-    out.append(
-        CheckResult(
-            "image-characterizations",
-            not bad,
-            f"n<={perm_n}, h<=n+1" if not bad else f"first failure: {bad[0]}",
-        )
-    )
+    out.append(_result("image-characterizations", bad, f"n<={perm_n}, h<=n+1"))
     return out
 
 
@@ -168,41 +144,29 @@ def _down_run_trace(p: dyck.DyckPath) -> list[tuple[perm_mod.LrMaximum, int]]:
 
 
 def _identity_checks(bounds: VerifyBounds) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    bad = [
+    sweep_bad = [
         (n, alpha)
         for n in range(1, bounds.identity_n_max + 1)
         for alpha in range(bounds.alpha_max + 1)
         if not genfunc.catalan_identity(n, alpha)
     ]
-    out.append(
-        CheckResult(
-            "catalan-identity-sweep",
-            not bad,
-            f"n<={bounds.identity_n_max}, alpha<={bounds.alpha_max}"
-            if not bad
-            else f"first failure: {bad[0]}",
-        )
-    )
-
-    bad = [
+    cutoff_bad = [
         (h, n)
         for h in range(2, bounds.identity_n_max + 1)
-        for n in range(h + 1)
-        if genfunc.count_recurrence(h, n) != dyck.catalan(n)
+        for n, count in enumerate(genfunc.count_sequence(h, h))
+        if count != dyck.catalan(n)
     ]
-    out.append(
-        CheckResult(
-            "catalan-cutoff",
-            not bad,
-            f"2<=h<={bounds.identity_n_max}, n<=h" if not bad else f"first failure: {bad[0]}",
-        )
-    )
-    return out
+    return [
+        _result(
+            "catalan-identity-sweep",
+            sweep_bad,
+            f"n<={bounds.identity_n_max}, alpha<={bounds.alpha_max}",
+        ),
+        _result("catalan-cutoff", cutoff_bad, f"2<=h<={bounds.identity_n_max}, n<=h"),
+    ]
 
 
 def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
-    out: list[CheckResult] = []
     n_max = min(bounds.n_max, 9)
     h_range = range(3, max(3, bounds.h_max) + 1)
 
@@ -241,34 +205,26 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
                 count_bad.append(f"h={h}, level {n + 1}")
             level = produced
 
-    def result(name: str, bad: list[str]) -> CheckResult:
-        scope = f"h in {list(h_range)}, n<={n_max}"
-        return CheckResult(name, not bad, scope if not bad else f"first failure: {bad[0]}")
-
-    out.append(result("eco-children-in-class", membership_bad))
-    out.append(result("eco-disjoint-and-complete", cover_bad))
-    out.append(result("eco-label-coherence", label_bad))
-    out.append(result("eco-perm-commutation", commute_bad))
-    out.append(result("eco-symbolic-agreement", count_bad))
-    return out
+    covered = f"h in {list(h_range)}, n<={n_max}"
+    return [
+        _result("eco-children-in-class", membership_bad, covered),
+        _result("eco-disjoint-and-complete", cover_bad, covered),
+        _result("eco-label-coherence", label_bad, covered),
+        _result("eco-perm-commutation", commute_bad, covered),
+        _result("eco-symbolic-agreement", count_bad, covered),
+    ]
 
 
 def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
     out: list[CheckResult] = []
 
     bad = [
-        h
+        f"h={h}"
         for h in range(3, 11)
         if prodmat.matrix_from_rule(eco.succession_rule(h)).rows
         != prodmat.production_matrix(h).rows
     ]
-    out.append(
-        CheckResult(
-            "rule-matrix-equality",
-            not bad,
-            "h=3..10" if not bad else f"first failure: h={bad[0]}",
-        )
-    )
+    out.append(_result("rule-matrix-equality", bad, "h=3..10"))
 
     bad = []
     for h in range(2, 9):
@@ -276,13 +232,7 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
         for i, row in enumerate(m.rows, start=1):
             if sum(row) != i:
                 bad.append(f"h={h}, row ({i})")
-    out.append(
-        CheckResult(
-            "row-sums-match-labels",
-            not bad,
-            "h=2..8" if not bad else f"first failure: {bad[0]}",
-        )
-    )
+    out.append(_result("row-sums-match-labels", bad, "h=2..8"))
 
     bad = []
     for h in range(3, 7):
@@ -294,21 +244,10 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
             as_dict = {i + 1: v for i, v in enumerate(vec) if v}
             if total != sym_total or as_dict != sym_labels:
                 bad.append(f"h={h}, n={n}")
-    out.append(
-        CheckResult(
-            "per-label-level-counts",
-            not bad,
-            "h=3..6, n<=10" if not bad else f"first failure: {bad[0]}",
-        )
-    )
+    out.append(_result("per-label-level-counts", bad, "h=3..6, n<=10"))
 
     fib = genfunc.series(genfunc.generating_function(2), 16)
     totals = prodmat.level_totals(prodmat.production_matrix(2), 1, 16)
-    out.append(
-        CheckResult(
-            "fibonacci-level-counts",
-            totals == fib,
-            "n<=16" if totals == fib else f"{totals} != {fib}",
-        )
-    )
+    bad = [] if totals == fib else [f"{totals} != {fib}"]
+    out.append(_result("fibonacci-level-counts", bad, "n<=16"))
     return out

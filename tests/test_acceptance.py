@@ -1,13 +1,25 @@
-"""Acceptance suite: one test per criterion, every comparison exact.
+"""Acceptance suite, every comparison exact.
 
-Each test prints a single [acceptance] PASS/FAIL line (visible with -s or
--rA) in addition to the usual pytest outcome.
+The structural claims (round trips, image characterizations, growth-operator
+soundness, rule/matrix coherence, the Catalan identities) are stated once, as
+the checks of `dyck312 verify`; this module runs each verify scope once at
+larger bounds than the CLI default, and the named criterion tests read their
+checks from those runs. The remaining tests compare against literal
+oracles that verify does not hold. Each check prints one [acceptance]
+PASS/FAIL line (visible with -s or -rA) in addition to the usual pytest
+outcome.
 """
 
 import functools
-from itertools import permutations
 
-from dyck312 import bijection, dyck, eco, genfunc, perm, prodmat
+import pytest
+
+from dyck312 import dyck, eco, genfunc, prodmat, verify
+
+# covers paths n<=10, avoiders n<=9, the cubic oracle n<=8, eco h=3..5 up to
+# level 10, the matrix at h=3..10 with per-label counts at n<=10, and the
+# identities at n<=12, alpha<=6
+ACCEPTANCE_BOUNDS = verify.VerifyBounds(n_max=10)
 
 FIBONACCI = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597)
 
@@ -46,6 +58,56 @@ def criterion(name):
     return decorate
 
 
+@pytest.fixture(scope="module")
+def scope_results():
+    """`verify.run` at the acceptance bounds, run at most once per scope."""
+    return functools.cache(lambda scope: verify.run(scope, ACCEPTANCE_BOUNDS))
+
+
+def assert_checks_pass(results, names=None):
+    """Print one line per verify check (all, or those named) and require that
+    each named check ran and passed."""
+    picked = [r for r in results if names is None or r.name in names]
+    for r in picked:
+        print(f"[acceptance] {'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail})")
+    if names is not None:
+        assert sorted(r.name for r in picked) == sorted(names)
+    assert [r.name for r in picked if not r.passed] == []
+
+
+@pytest.mark.parametrize("scope", ["eco", "matrix"])
+def test_verify_scope(scope, scope_results):
+    assert_checks_pass(scope_results(scope))
+
+
+@criterion("bijection round trips (paths n<=10, avoiders n<=9, cubic n<=8)")
+def test_bijection_round_trips(scope_results):
+    assert_checks_pass(
+        scope_results("bijection"),
+        ["path-round-trip", "perm-round-trip", "stack-matches-cubic"],
+    )
+
+
+@criterion("maximum excess equals first-down-step height, n<=10")
+def test_lrm_excess_equals_step_height(scope_results):
+    assert_checks_pass(scope_results("bijection"), ["lrm-excess-heights"])
+
+
+@criterion("image characterizations n<=9, h<=n+1")
+def test_image_characterizations(scope_results):
+    assert_checks_pass(scope_results("bijection"), ["image-characterizations"])
+
+
+@criterion("catalan cutoff for n <= h <= 12")
+def test_catalan_cutoff(scope_results):
+    assert_checks_pass(scope_results("identities"), ["catalan-cutoff"])
+
+
+@criterion("catalan identity sweep n<=12, alpha<=6")
+def test_catalan_identity_sweep(scope_results):
+    assert_checks_pass(scope_results("identities"), ["catalan-identity-sweep"])
+
+
 @criterion("coefficient-table h=1..14, j=1..8")
 def test_coefficient_table_regression():
     for h in range(1, 15):
@@ -61,21 +123,6 @@ def test_fibonacci_series():
 @criterion("degenerate series at h=1")
 def test_degenerate_height_series():
     assert genfunc.series(genfunc.generating_function(1), 10) == (1, 1) + (0,) * 9
-
-
-@criterion("catalan cutoff for n <= h <= 12")
-def test_catalan_cutoff():
-    # the recurrence's domain starts at h=2; h=1 is covered by the series test
-    for h in range(2, 13):
-        for n in range(h + 1):
-            assert genfunc.count_recurrence(h, n) == dyck.catalan(n), (h, n)
-
-
-@criterion("catalan identity sweep n<=12, alpha<=6")
-def test_catalan_identity_sweep():
-    for n in range(1, 13):
-        for alpha in range(7):
-            assert genfunc.catalan_identity(n, alpha), (n, alpha)
 
 
 @criterion("four-way count agreement h=2..7, n<=12")
@@ -109,98 +156,6 @@ def test_four_way_count_agreement():
                     )
     for h in heights:
         assert tuple(brute[h]) == formula[h], h
-
-
-@criterion("bijection round trips (paths n<=10, avoiders n<=9)")
-def test_bijection_round_trips(paths_by_n, avoiders_by_n):
-    for paths in paths_by_n.values():
-        for p in paths:
-            assert bijection.perm_to_path(bijection.path_to_perm(p)) == p
-    for n, avoiders in avoiders_by_n.items():
-        assert len(avoiders) == dyck.catalan(n)
-        for pi in avoiders:
-            assert bijection.path_to_perm(bijection.perm_to_path(pi)) == pi
-    # the stack-based filter agrees with the cubic definition up to n = 8
-    for n in range(9):
-        for t in permutations(range(1, n + 1)):
-            pi = perm.Permutation(t)
-            assert perm.avoids_312(pi) == perm.avoids_312_cubic(pi)
-
-
-@criterion("maximum excess equals first-down-step height, n<=9")
-def test_lrm_excess_equals_step_height(paths_by_n):
-    for n in range(10):
-        for p in paths_by_n[n]:
-            # trace the path: matched label and height at each run-leading down
-            stack, trace = [], []
-            label = level = downs = 0
-            prev = ""
-            for c in p.word:
-                if c == "U":
-                    label += 1
-                    level += 1
-                    stack.append(label)
-                else:
-                    level -= 1
-                    downs += 1
-                    matched = stack.pop()
-                    if prev != "D":
-                        trace.append((perm.LrMaximum(downs, matched), level))
-                prev = c
-            assert bijection.lrm_heights(bijection.path_to_perm(p)) == trace
-
-
-@criterion("image characterizations n<=9, h<=n+1")
-def test_image_characterizations(paths_by_n, avoiders_by_n):
-    for n in range(10):
-        paths = paths_by_n[n]
-        for h in range(1, n + 2):
-            height_image = {
-                bijection.path_to_perm(p) for p in paths if dyck.height(p) <= h
-            }
-            valley_image = {
-                bijection.path_to_perm(p) for p in paths if dyck.in_class(p, h, 2)
-            }
-            height_set = {
-                pi for pi in avoiders_by_n[n] if perm.in_height_class(pi, h)
-            }
-            valley_set = {pi for pi in avoiders_by_n[n] if perm.in_class(pi, h)}
-            assert height_image == height_set, (n, h)
-            assert valley_image == valley_set, (n, h)
-
-
-@criterion("growth operator soundness h=3..5, n<=9")
-def test_eco_soundness(paths_by_n):
-    for h in (3, 4, 5):
-        for n in range(10):
-            parents = [p for p in paths_by_n[n] if dyck.in_class(p, h, 2)]
-            produced = [c for p in parents for c in eco.children(p, h)]
-            for c in produced:
-                assert c.semilength == n + 1
-                assert dyck.in_class(c, h, 2)
-            assert len(produced) == len(set(produced)), (h, n)
-            if n + 1 <= 10:
-                expected = {
-                    p for p in paths_by_n[n + 1] if dyck.in_class(p, h, 2)
-                }
-                assert set(produced) == expected, (h, n)
-
-
-@criterion("rule/matrix coherence h=3..10, per-label h<=6 n<=10")
-def test_rule_matrix_coherence():
-    for h in range(3, 11):
-        assert (
-            prodmat.matrix_from_rule(eco.succession_rule(h)).rows
-            == prodmat.production_matrix(h).rows
-        ), h
-    for h in range(3, 7):
-        rule = eco.succession_rule(h)
-        m = prodmat.matrix_from_rule(rule)
-        for n in range(11):
-            total, vec = prodmat.level_count(m, rule.axiom, n)
-            sym_total, sym = eco.symbolic_counts(rule, n)
-            assert total == sym_total, (h, n)
-            assert {i + 1: v for i, v in enumerate(vec) if v} == sym, (h, n)
 
 
 @criterion("coefficient recurrence h<=14")

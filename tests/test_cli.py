@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
-from dyck312 import dyck
+import dyck312
+from dyck312 import dyck, eco
 from dyck312.cli import main
 
 
@@ -21,13 +26,6 @@ class TestCount:
 
     def test_all_methods_agree(self, capsys):
         code, out, _ = run(capsys, "count", "--h", "3", "--n-max", "5", "--method", "all")
-        assert code == 0
-        assert out.strip() == "1,1,2,5,12,29"
-
-    def test_check_all_alias(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "--h", "3", "--n-max", "5", "--method", "series", "--check-all"
-        )
         assert code == 0
         assert out.strip() == "1,1,2,5,12,29"
 
@@ -204,6 +202,18 @@ class TestTree:
         # 1 + 1 + 2 + 5 nodes in the first four levels
         assert count(doc["root"]) == 9
 
+    def test_json_levels_match_generate_level(self, capsys):
+        # depth 5 reaches nodes whose initial run equals h, which grow only h-1 children
+        for h in (3, 4):
+            code, out, _ = run(capsys, "tree", "--h", str(h), "--depth", "5", "--format", "json")
+            assert code == 0
+            level = [json.loads(out)["root"]]
+            for d in range(6):
+                expected = [(n.obj.word, n.label) for n in eco.generate_level(h, d)]
+                assert [(node["object"], node["label"]) for node in level] == expected
+                level = [c for node in level for c in node["children"]]
+            assert level == []
+
     def test_depth_cap(self, capsys):
         code, _, _ = run(capsys, "tree", "--h", "3", "--depth", "5", "--cap", "4")
         assert code == 2
@@ -280,6 +290,64 @@ class TestOutputFile(object):
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["rows"] == [[0, 1], [1, 1]]
+
+    @pytest.mark.parametrize("target", ["missing/x.txt", "dir"])
+    def test_unwritable_target(self, capsys, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        code = main(["count", "--h", "3", "--n-max", "4", "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(tmp_path / target) in captured.err
+        assert "Traceback" not in captured.err
+        # nothing written, and no temporary file left beside the target
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+    def test_symlink_target(self, capsys, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        code, out, _ = run(capsys, "count", "--h", "3", "--n-max", "4", "--out", str(link))
+        assert (code, out) == (0, "")
+        # the link is written through, and the file it names keeps its mode
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_text() == "1,1,2,5,12\n"
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    def test_fifo_target(self, capsys, tmp_path):
+        # a target that is not a regular file (a pipe here, /dev/null or /dev/stdout
+        # in use) is written to directly, never replaced by a file
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(capsys, "count", "--h", "3", "--n-max", "4", "--out", str(fifo))
+            assert (code, out) == (0, "")
+            assert os.read(reader, 4096) == b"1,1,2,5,12\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_optimized_interpreter(capsys):
+    # -O strips assert statements, so the checks these commands rely on must raise instead
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dyck312.__file__))}
+
+    def run_optimized(*argv):
+        cmd = [sys.executable, "-O", "-m", "dyck312", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+    verified = run_optimized("verify")
+    assert verified.returncode == 0, verified.stderr
+    assert verified.stdout.splitlines()[-1] == "16/16 checks passed"
+
+    argv = ["count", "--h", "300", "--n-max", "512", "--method", "recurrence"]
+    counted = run_optimized(*argv)
+    assert (counted.returncode, counted.stdout, counted.stderr) == run(capsys, *argv)
 
 
 def test_usage_error_exit_code():

@@ -8,7 +8,6 @@ from dyck312.dyck import (
     DyckPath,
     InvalidCharacter,
     NegativePrefix,
-    Step,
     Unbalanced,
     Valley,
 )
@@ -24,8 +23,6 @@ class TestParse:
     def test_simple(self):
         p = dyck.parse_path("UUDUDD")
         assert p.semilength == 3
-        assert p.steps[0] is Step.UP
-        assert p.steps[2] is Step.DOWN
 
     def test_negative_prefix(self):
         with pytest.raises(NegativePrefix) as exc:

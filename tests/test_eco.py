@@ -133,7 +133,8 @@ class TestGenerateLevel:
                     for node in parents
                     for c in eco.children(node.obj, h)
                 ]
-                assert [(k.obj.word, k.label) for k in kids] == rebuilt
+                grown = [pair for node in parents for pair in eco.grow(node.obj.word, h)]
+                assert [(k.obj.word, k.label) for k in kids] == rebuilt == grown
                 assert all(k.level == parents[0].level + 1 for k in kids)
 
     def test_cap(self):

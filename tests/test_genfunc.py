@@ -173,15 +173,15 @@ class TestSeries:
 
 class TestCountRecurrence:
     def test_examples(self):
-        assert genfunc.count_recurrence(3, 4) == 12
-        assert genfunc.count_recurrence(2, 6) == 13
+        assert genfunc.count_sequence(3, 4)[4] == 12
+        assert genfunc.count_sequence(2, 6)[6] == 13
         for n in range(6):
-            assert genfunc.count_recurrence(5, n) == dyck.catalan(n)
+            assert genfunc.count_sequence(5, n)[n] == dyck.catalan(n)
 
     def test_catalan_cutoff(self):
         for h in range(2, 13):
             for n in range(h + 1):
-                assert genfunc.count_recurrence(h, n) == dyck.catalan(n)
+                assert genfunc.count_sequence(h, n)[n] == dyck.catalan(n)
 
     def test_matches_series(self):
         for h in range(2, 8):
@@ -191,11 +191,11 @@ class TestCountRecurrence:
     def test_matches_brute(self):
         for h in range(2, 6):
             for n in range(9):
-                assert genfunc.count_recurrence(h, n) == dyck.count_brute(n, h, 2)
+                assert genfunc.count_sequence(h, n)[n] == dyck.count_brute(n, h, 2)
 
     def test_rejects_height_one(self):
         with pytest.raises(ValueError):
-            genfunc.count_recurrence(1, 3)
+            genfunc.count_sequence(1, 3)
 
 
 class TestCatalanIdentity:
