@@ -235,6 +235,13 @@ def _applicable(method: str, h: int, n_max: int, enum_cap: int, tree_cap: int) -
 # ---------------------------------------------------------------- list
 
 
+def _render(word: str, kind: str) -> str:
+    """A class member as printed for --kind: the path word or its permutation."""
+    if kind == "perms":
+        return str(bijection.path_to_perm(dyck.DyckPath(word)))
+    return word
+
+
 def _cmd_list(args) -> int:
     if args.h < 3:
         raise UsageError("--h must be >= 3; labels come from the generating tree")
@@ -242,10 +249,7 @@ def _cmd_list(args) -> int:
         raise UsageError("--n must be >= 0")
     cap = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
     nodes = eco.generate_level(args.h, args.n, cap=cap)
-    if args.kind == "perms":
-        rows = [(str(bijection.path_to_perm(node.obj)), node.label) for node in nodes]
-    else:
-        rows = [(node.obj.word, node.label) for node in nodes]
+    rows = [(_render(node.obj.word, args.kind), node.label) for node in nodes]
 
     if args.format == "text":
         _emit("\n".join(f"({label}) {text}".rstrip() for text, label in rows), args.out)
@@ -298,13 +302,8 @@ def _cmd_tree(args) -> int:
     if args.depth > cap:
         raise dyck.CapExceeded(f"depth {args.depth} exceeds tree cap {cap}")
 
-    def render(word: str) -> str:
-        if args.kind == "perms":
-            return str(bijection.path_to_perm(dyck.DyckPath(word)))
-        return word
-
     def build(word: str, label: int, level: int) -> dict:
-        node = {"label": label, "object": render(word)}
+        node = {"label": label, "object": _render(word, args.kind)}
         if level < args.depth:
             node["children"] = [build(w, lab, level + 1) for w, lab in eco.grow(word, args.h)]
         else:

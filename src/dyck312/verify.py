@@ -26,6 +26,13 @@ class VerifyBounds:
     identity_n_max: int = 12
     alpha_max: int = 6
 
+    def __post_init__(self):
+        # a bound that leaves a check no case would report a vacuous PASS
+        for name, least in (("n_max", 0), ("identity_n_max", 2), ("alpha_max", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -282,6 +282,22 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1].endswith("checks passed")
 
+    @pytest.mark.parametrize(
+        "flag, value, scope",
+        [
+            ("--n-max", "-1", "bijection"),
+            ("--identity-n-max", "1", "identities"),
+            ("--identity-n-max", "-3", "identities"),
+            ("--alpha-max", "-1", "identities"),
+        ],
+    )
+    def test_bound_with_no_case_is_usage_error(self, capsys, flag, value, scope):
+        # such a bound leaves a check nothing to check; it must not read as PASS
+        code, out, err = run(capsys, "verify", "--scope", scope, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be >=" in err
+
 
 class TestOutputFile(object):
     def test_out_flag(self, capsys, tmp_path):
