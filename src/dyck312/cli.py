@@ -174,15 +174,19 @@ def _cmd_count(args) -> int:
     def compute(method: str) -> list[int]:
         if h < METHODS[method]:
             raise UsageError(f"--method {method} needs --h >= {METHODS[method]}")
+        # a valley at height h-1 needs semilength >= h+1, so every count at
+        # n <= h is Catalan for any --k: each bound from n_max up gives the
+        # same counts, and the least one the method accepts costs the least
+        bound = max(min(h, n_max), METHODS[method])
         if method == "recurrence":
-            return list(genfunc.count_sequence(h, n_max))
+            return list(genfunc.count_sequence(bound, n_max))
         if method == "series":
-            return list(genfunc.series(genfunc.generating_function(h), n_max))
+            return list(genfunc.series(genfunc.generating_function(bound), n_max))
         if method == "matrix":
-            return list(prodmat.level_totals(prodmat.production_matrix(h), 1, n_max))
+            return list(prodmat.level_totals(prodmat.production_matrix(bound), 1, n_max))
         if method == "brute":
-            return [dyck.count_brute(n, h, k, cap=enum_cap) for n in range(n_max + 1)]
-        return [len(level) for level in eco.iter_levels(h, n_max, cap=tree_cap)]
+            return [dyck.count_brute(n, bound, k, cap=enum_cap) for n in range(n_max + 1)]
+        return [len(level) for level in eco.iter_levels(bound, n_max, cap=tree_cap)]
 
     if args.method == "all":
         wanted = [m for m in METHODS if _applicable(m, h, n_max, enum_cap, tree_cap)]

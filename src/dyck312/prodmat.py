@@ -1,9 +1,13 @@
 """Production matrices for the succession rules: explicit block construction,
-construction from a rule, and level counting by iterated row-vector products."""
+construction from a rule, and level counting by a row-vector product read
+from the differences between adjacent columns."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 from typing import Iterator
 
 from .eco import Label, SuccessionRule
@@ -48,11 +52,15 @@ def production_matrix(h: int) -> ProductionMatrix:
     """
     if h < 2:
         raise ValueError(f"defined for h >= 2, got {h}")
-    rows: tuple[tuple[int, ...], ...] = ((0, 1), (1, 1))
+    # rows bottom-up, each reversed, so the new top row and the new left
+    # column are appends and each step costs O(d)
+    rows = [[1, 1], [1, 0]]
     for d in range(3, h + 1):
-        inner = tuple((r[0] + 1,) + r[1:] for r in rows)
-        rows = ((0, 1) + (0,) * (d - 2),) + tuple((0,) + r for r in inner)
-    return ProductionMatrix(rows)
+        for r in rows:
+            r[-1] += 1
+            r.append(0)
+        rows.append([0] * (d - 2) + [1, 0])
+    return ProductionMatrix(tuple(tuple(reversed(r)) for r in reversed(rows)))
 
 
 def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
@@ -67,33 +75,47 @@ def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
                 raise NonContiguousLabels(
                     f"production of ({label}) emits ({child}) outside 1..{d}"
                 )
-    rows = tuple(
-        tuple(rule.productions[i].count(j) for j in range(1, d + 1))
-        for i in range(1, d + 1)
-    )
-    return ProductionMatrix(rows)
+    tallies = [Counter(rule.productions[label]) for label in labels]
+    return ProductionMatrix(tuple(tuple(t[j] for j in labels) for t in tallies))
 
 
 def _level_vectors(matrix: ProductionMatrix, axiom: Label, n_max: int) -> Iterator[list[int]]:
     """Label counts of levels 0..n_max: the axiom's unit row vector, then one
-    row-vector product with the matrix per level."""
+    row-vector product with the matrix per level.
+
+    The product runs right to left over the columns: new[j] = new[j+1] +
+    sum_i vec[i] * (M[i][j] - M[i][j+1]), with M[i][d] = 0. Only the nonzero
+    differences are kept, so a level costs O(d + their number): O(d) for the
+    height-h matrix, whose rows are runs of equal entries.
+    """
     d = matrix.dimension
     if not 1 <= axiom <= d:
         raise ValueError(f"axiom ({axiom}) outside 1..{d}")
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    rows = matrix.rows
+    diffs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for i, row in enumerate(matrix.rows):
+        steps = list(map(sub, row, row[1:] + (0,)))
+        for j in compress(range(d), steps):
+            diffs[j].append((i, steps[j]))
     vec = [0] * d
     vec[axiom - 1] = 1
     yield vec
     for _ in range(n_max):
-        vec = [sum(vec[i] * rows[i][j] for i in range(d)) for j in range(d)]
+        new = [0] * d
+        acc = 0
+        for j in range(d - 1, -1, -1):
+            for i, delta in diffs[j]:
+                acc += vec[i] * delta
+            new[j] = acc
+        vec = new
         yield vec
 
 
 def level_count(matrix: ProductionMatrix, axiom: Label, n: int) -> tuple[int, LevelVector]:
     """Level-n label counts: the axiom's unit row vector times the matrix n
-    times, plus its entry sum."""
+    times, each product read from the column differences, plus its entry
+    sum."""
     for vec in _level_vectors(matrix, axiom, n):
         pass
     return sum(vec), tuple(vec)

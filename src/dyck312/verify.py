@@ -27,11 +27,25 @@ class VerifyBounds:
     alpha_max: int = 6
 
     def __post_init__(self):
-        # a bound that leaves a check no case would report a vacuous PASS
-        for name, least in (("n_max", 0), ("identity_n_max", 2), ("alpha_max", 0)):
+        # A bound under its floor leaves a check no case and would report a
+        # vacuous PASS; a ceiling keeps a check's time bounded. Measured on a
+        # 2-vCPU machine: the catalan cutoff grows about as identity_n_max**3
+        # (128: 0.2 s, 256: 2 s, 512: 24 s) and the identity sweep as
+        # identity_n_max**2.5 * alpha_max (alpha_max 1024 alone: 0.1 s; both
+        # ceilings at once: 33 s). Each eco height costs ~0.6 s at n_max 9, and
+        # from h = 10 on every level it checks (n <= 10) is the whole Catalan
+        # family, so 32 is ample. n_max is held by the enumeration cap.
+        for name, least, most in (
+            ("n_max", 0, None),
+            ("h_max", None, 32),
+            ("identity_n_max", 2, 128),
+            ("alpha_max", 0, 1024),
+        ):
             value = getattr(self, name)
-            if value < least:
+            if least is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
 @dataclass(frozen=True)

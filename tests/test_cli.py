@@ -9,7 +9,8 @@ import pytest
 
 import dyck312
 from dyck312 import dyck, eco
-from dyck312.cli import main
+from dyck312.cli import METHODS, main
+from dyck312.verify import VerifyBounds
 
 
 def run(capsys, *argv):
@@ -88,6 +89,44 @@ class TestCount:
         values = out.strip().split(",")
         assert len(values) == 301
         assert int(values[300]) > 2**63  # exact big integers, no overflow
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [pytest.param(m, (), id=m) for m in (*METHODS, "all")]
+        + [pytest.param("brute", ("--k", "3"), id="brute-k3")],
+    )
+    @pytest.mark.parametrize("h, n_max", [(4, 3), (7, 5), (64, 6), (1000, 3)])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_h_past_n_max_counts_as_n_max(self, capsys, method, extra, h, n_max, fmt):
+        # at n <= h every count is Catalan, so any h past n_max reads as n_max
+        def count(bound):
+            code, out, err = run(
+                capsys, "count", "--h", str(bound), "--n-max", str(n_max),
+                "--method", method, "--format", fmt, *extra,
+            )
+            assert (code, err) == (0, "")
+            return out
+
+        out, expected = count(h), count(n_max)
+        if fmt == "json":
+            doc, expected_doc = json.loads(out), json.loads(expected)
+            assert doc["h"] == h
+            expected_doc["h"] = h
+            assert doc == expected_doc
+        else:
+            assert out == expected
+
+    @pytest.mark.parametrize("method", ["all", "series"])
+    def test_huge_h(self, capsys, method):
+        code, out, _ = run(capsys, "count", "--h", "1000000", "--n-max", "3", "--method", method)
+        assert code == 0
+        assert out.strip() == "1,1,2,5"
+
+    def test_least_h_checked_before_clamp(self, capsys):
+        # the clamp never lifts h: --h 2 stays too small for eco at any n_max
+        code, out, err = run(capsys, "count", "--h", "2", "--n-max", "1", "--method", "eco")
+        assert (code, out) == (2, "")
+        assert "needs --h >= 3" in err
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "count", "--h", "4", "--n-max", "10")
@@ -297,6 +336,24 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "must be >=" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, scope",
+        [
+            ("--h-max", "33", "eco"),
+            ("--identity-n-max", "129", "identities"),
+            ("--alpha-max", "1025", "identities"),
+            ("--alpha-max", "1000000000", "identities"),
+        ],
+    )
+    def test_bound_above_ceiling_is_usage_error(self, capsys, flag, value, scope):
+        code, out, err = run(capsys, "verify", "--scope", scope, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be <=" in err
+
+    def test_bounds_at_ceiling_accepted(self):
+        VerifyBounds(h_max=32, identity_n_max=128, alpha_max=1024)
 
 
 class TestOutputFile(object):

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from dyck312 import dyck, eco, genfunc, prodmat
 from dyck312.eco import SuccessionRule
@@ -54,7 +56,7 @@ class TestMatrixFromRule:
         assert m.rows == ((0, 1, 0), (0, 1, 1), (0, 2, 1))
 
     def test_matches_block_construction(self):
-        for h in range(3, 11):
+        for h in [*range(3, 11), 50, 200, 512]:
             assert (
                 prodmat.matrix_from_rule(eco.succession_rule(h)).rows
                 == prodmat.production_matrix(h).rows
@@ -71,7 +73,35 @@ class TestMatrixFromRule:
             prodmat.matrix_from_rule(rule)
 
 
+def _dense_levels(rows, axiom, n):
+    """Oracle: the unit row vector of the axiom times the matrix, n times,
+    entry by entry."""
+    d = len(rows)
+    vec = [int(i == axiom - 1) for i in range(d)]
+    levels = [vec]
+    for _ in range(n):
+        vec = [sum(vec[i] * rows[i][j] for i in range(d)) for j in range(d)]
+        levels.append(vec)
+    return levels
+
+
+@st.composite
+def matrix_axiom_n(draw):
+    d = draw(st.integers(1, 8))
+    entries = st.integers(0, 5)
+    rows = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+    return rows, draw(st.integers(1, d)), draw(st.integers(0, 12))
+
+
 class TestLevelCount:
+    @given(matrix_axiom_n())
+    def test_matches_dense_product(self, case):
+        rows, axiom, n = case
+        m = ProductionMatrix(rows)
+        levels = _dense_levels(rows, axiom, n)
+        assert prodmat.level_totals(m, axiom, n) == tuple(sum(v) for v in levels)
+        assert prodmat.level_count(m, axiom, n) == (sum(levels[n]), tuple(levels[n]))
+
     def test_level_zero(self):
         m = prodmat.production_matrix(4)
         assert prodmat.level_count(m, 1, 0) == (1, (1, 0, 0, 0))
