@@ -20,7 +20,7 @@ from . import perm as perm_mod
 from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
-LARGE_N_LIMIT = 512  # polynomial-time methods stay exact well past this; a sanity rail
+LARGE_N_LIMIT = 512  # sanity rail on count --n-max, matrix --h and table --h-max/--j-max
 METHODS = {"recurrence": 2, "series": 1, "matrix": 2, "brute": 1, "eco": 3}  # name -> smallest --h
 
 
@@ -252,8 +252,8 @@ def _cmd_list(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     cap = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
-    nodes = eco.generate_level(args.h, args.n, cap=cap)
-    rows = [(_render(node.obj.word, args.kind), node.label) for node in nodes]
+    level = eco.generate_level(args.h, args.n, cap=cap)
+    rows = [(_render(word, args.kind), label) for word, label in level]
 
     if args.format == "text":
         _emit("\n".join(f"({label}) {text}".rstrip() for text, label in rows), args.out)
@@ -341,6 +341,8 @@ def _cmd_tree(args) -> int:
 def _cmd_matrix(args) -> int:
     if args.h < 2:
         raise UsageError("--h must be >= 2")
+    if args.h > LARGE_N_LIMIT:
+        raise UsageError(f"--h above {LARGE_N_LIMIT} is not supported")
     m = prodmat.production_matrix(args.h)
     if args.format == "text":
         width = max(len(str(e)) for row in m.rows for e in row)
@@ -357,6 +359,8 @@ def _cmd_matrix(args) -> int:
 def _cmd_table(args) -> int:
     if args.h_max < 1 or args.j_max < 1:
         raise UsageError("--h-max and --j-max must be >= 1")
+    if args.h_max > LARGE_N_LIMIT or args.j_max > LARGE_N_LIMIT:
+        raise UsageError(f"--h-max and --j-max above {LARGE_N_LIMIT} are not supported")
     rows = [
         [genfunc.denominator_coeff(h, j) for j in range(1, args.j_max + 1)]
         for h in range(1, args.h_max + 1)

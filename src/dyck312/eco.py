@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from . import dyck, perm
 from .dyck import CapExceeded, DyckPath
@@ -36,15 +36,6 @@ class SuccessionRule:
                 raise ValueError(
                     f"label ({label}) must produce {label} children, got {len(prod)}"
                 )
-
-
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    """A generating-tree node: the object, its label, and its level (= size)."""
-
-    obj: Union[DyckPath, Permutation]
-    label: Label
-    level: int
 
 
 def _require_h(h: int) -> None:
@@ -103,23 +94,20 @@ def label_of(p: DyckPath, h: int) -> Label:
 
 
 def succession_rule(h: int) -> SuccessionRule:
-    """The rule the growth operator induces for a height bound h >= 3.
+    """The rule of the height-h generating tree, for h >= 2.
 
     Axiom (1); (1) -> (2); (k) -> (2)(3)...(k)(k+1) for 2 <= k < h; and
-    (h) -> (2)(3)...(h-1)(h-1)(h).
+    (h) -> (2)(3)...(h-1)(h-1)(h). For h >= 3 it is the rule the growth
+    operator induces; at h = 2 it reads (2) -> (1)(2), whose level sizes are
+    the Fibonacci numbers.
     """
-    _require_h(h)
+    if h < 2:
+        raise ValueError(f"a succession rule needs h >= 2, got {h}")
     productions: dict[Label, tuple[Label, ...]] = {1: (2,)}
     for k in range(2, h):
         productions[k] = tuple(range(2, k + 1)) + (k + 1,)
     productions[h] = tuple(range(2, h)) + (h - 1, h)
     return SuccessionRule(axiom=1, productions=productions)
-
-
-def height_two_rule() -> SuccessionRule:
-    """The h = 2 rule: axiom (1); (1) -> (2); (2) -> (1)(2). Its level sizes
-    are the Fibonacci numbers."""
-    return SuccessionRule(axiom=1, productions={1: (2,), 2: (1, 2)})
 
 
 def symbolic_counts(rule: SuccessionRule, n: int) -> tuple[int, dict[Label, int]]:
@@ -136,8 +124,10 @@ def symbolic_counts(rule: SuccessionRule, n: int) -> tuple[int, dict[Label, int]
     return sum(counts.values()), dict(counts)
 
 
-def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[list[TreeNode]]:
-    """Yield levels 0..n_max of the path generating tree, breadth-first.
+def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[list[tuple[str, Label]]]:
+    """Yield levels 0..n_max of the path generating tree, breadth-first, each
+    a list of (word, label) pairs as grow() returns them; level 0 is the root
+    ("", 1).
 
     Children appear in parent order then site order, so output is
     reproducible. Parents are class members by construction, so grow() runs
@@ -148,21 +138,17 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > cap:
         raise CapExceeded(f"level {n_max} exceeds tree cap {cap}")
-    level = [TreeNode(dyck.EMPTY_PATH, 1, 0)]
+    level = [("", 1)]
     yield level
-    for depth in range(1, n_max + 1):
-        level = [
-            TreeNode(DyckPath(w), label, depth)
-            for node in level
-            for w, label in grow(node.obj.word, h)
-        ]
+    for _ in range(n_max):
+        level = [child for word, _ in level for child in grow(word, h)]
         yield level
 
 
-def generate_level(h: int, n: int, cap: int = DEFAULT_TREE_CAP) -> list[TreeNode]:
-    """Level n of the path generating tree: all class members of semilength n
-    with their labels, in tree order."""
-    result: list[TreeNode] = []
+def generate_level(h: int, n: int, cap: int = DEFAULT_TREE_CAP) -> list[tuple[str, Label]]:
+    """Level n of the path generating tree: the (word, label) pair of every
+    class member of semilength n, in tree order."""
+    result: list[tuple[str, Label]] = []
     for result in iter_levels(h, n, cap=cap):
         pass
     return result

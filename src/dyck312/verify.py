@@ -34,9 +34,10 @@ class VerifyBounds:
         # identity_n_max**2.5 * alpha_max (alpha_max 1024 alone: 0.1 s; both
         # ceilings at once: 33 s). Each eco height costs ~0.6 s at n_max 9, and
         # from h = 10 on every level it checks (n <= 10) is the whole Catalan
-        # family, so 32 is ample. n_max is held by the enumeration cap.
+        # family, so 32 is ample. n_max stops at the enumeration cap, before
+        # any work, rather than after every smaller size has been checked.
         for name, least, most in (
-            ("n_max", 0, None),
+            ("n_max", 0, dyck.DEFAULT_CAP),
             ("h_max", None, 32),
             ("identity_n_max", 2, 128),
             ("alpha_max", 0, 1024),
@@ -75,69 +76,68 @@ def _result(name: str, bad: list, covered: str) -> CheckResult:
     return CheckResult(name, not bad, covered if not bad else f"first failure: {bad[0]}")
 
 
-def _avoiders(n: int) -> list[perm_mod.Permutation]:
-    return [
-        pi
-        for pi in (perm_mod.Permutation(t) for t in iter_permutations(range(1, n + 1)))
-        if perm_mod.avoids_312(pi)
-    ]
-
-
 def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
-    out: list[CheckResult] = []
+    """One pass per size n: each path's image is built once and feeds the
+    path-side checks and the image sets; for n <= 9 one sweep of the n!
+    permutations feeds the permutation round trip, the sets the images are
+    compared with and, for n <= 8, the cubic oracle."""
     n_max = bounds.n_max
-
-    bad = []
+    perm_n = min(n_max, 9)
+    cubic_n = min(n_max, 8)
+    path_bad: list[str] = []
+    perm_bad: list[str] = []
+    cubic_bad: list[str] = []
+    lrm_bad: list[str] = []
+    image_bad: list[str] = []
     for n in range(n_max + 1):
+        # the images are collected per height bound rather than kept beside
+        # their paths: a list of (path, image) pairs would more than double
+        # the memory of a size (n_max 12: 118 MB peak against 45 MB)
+        heights = range(1, n + 2) if n <= perm_n else ()
+        height_image = {h: set() for h in heights}
+        valley_image = {h: set() for h in heights}
         for p in dyck.enumerate_dyck(n):
             pi = bijection.path_to_perm(p)
             if not perm_mod.avoids_312(pi) or bijection.perm_to_path(pi) != p:
-                bad.append(repr(p.word))
-    out.append(_result("path-round-trip", bad, f"n<={n_max}"))
+                path_bad.append(repr(p.word))
+            if bijection.lrm_heights(pi) != _down_run_trace(p):
+                lrm_bad.append(repr(p.word))
+            top = dyck.height(p)
+            for h in heights:
+                if top <= h:
+                    height_image[h].add(pi)
+                if dyck.in_class(p, h, 2):
+                    valley_image[h].add(pi)
+        if n > perm_n:
+            continue
 
-    perm_n = min(n_max, 9)
-    avoiders = {n: _avoiders(n) for n in range(perm_n + 1)}
-    bad = []
-    for n, pis in avoiders.items():
-        if len(pis) != dyck.catalan(n):
-            bad.append(f"count at n={n}")
-        for pi in pis:
-            if bijection.path_to_perm(bijection.perm_to_path(pi)) != pi:
-                bad.append(str(pi))
-    out.append(_result("perm-round-trip", bad, f"n<={perm_n}"))
-
-    cubic_n = min(n_max, 8)
-    bad = []
-    for n in range(cubic_n + 1):
+        avoiders = []
         for t in iter_permutations(range(1, n + 1)):
             pi = perm_mod.Permutation(t)
-            if perm_mod.avoids_312(pi) != perm_mod.avoids_312_cubic(pi):
-                bad.append(str(pi))
-    out.append(_result("stack-matches-cubic", bad, f"n<={cubic_n}"))
+            avoids = perm_mod.avoids_312(pi)
+            if n <= cubic_n and avoids != perm_mod.avoids_312_cubic(pi):
+                cubic_bad.append(str(pi))
+            if avoids:
+                avoiders.append(pi)
+        if len(avoiders) != dyck.catalan(n):
+            perm_bad.append(f"count at n={n}")
+        for pi in avoiders:
+            if bijection.path_to_perm(bijection.perm_to_path(pi)) != pi:
+                perm_bad.append(str(pi))
 
-    bad = []
-    for n in range(n_max + 1):
-        for p in dyck.enumerate_dyck(n):
-            if bijection.lrm_heights(bijection.path_to_perm(p)) != _down_run_trace(p):
-                bad.append(repr(p.word))
-    out.append(_result("lrm-excess-heights", bad, f"n<={n_max}"))
+        for h in heights:
+            height_set = {pi for pi in avoiders if perm_mod.in_height_class(pi, h)}
+            valley_set = {pi for pi in avoiders if perm_mod.in_class(pi, h)}
+            if height_image[h] != height_set or valley_image[h] != valley_set:
+                image_bad.append(f"n={n}, h={h}")
 
-    bad = []
-    for n in range(perm_n + 1):
-        paths = dyck.enumerate_dyck(n)
-        for h in range(1, n + 2):
-            height_image = {
-                bijection.path_to_perm(p) for p in paths if dyck.height(p) <= h
-            }
-            valley_image = {
-                bijection.path_to_perm(p) for p in paths if dyck.in_class(p, h, 2)
-            }
-            height_set = {pi for pi in avoiders[n] if perm_mod.in_height_class(pi, h)}
-            valley_set = {pi for pi in avoiders[n] if perm_mod.in_class(pi, h)}
-            if height_image != height_set or valley_image != valley_set:
-                bad.append(f"n={n}, h={h}")
-    out.append(_result("image-characterizations", bad, f"n<={perm_n}, h<=n+1"))
-    return out
+    return [
+        _result("path-round-trip", path_bad, f"n<={n_max}"),
+        _result("perm-round-trip", perm_bad, f"n<={perm_n}"),
+        _result("stack-matches-cubic", cubic_bad, f"n<={cubic_n}"),
+        _result("lrm-excess-heights", lrm_bad, f"n<={n_max}"),
+        _result("image-characterizations", image_bad, f"n<={perm_n}, h<=n+1"),
+    ]
 
 
 def _down_run_trace(p: dyck.DyckPath) -> list[tuple[perm_mod.LrMaximum, int]]:

@@ -248,8 +248,7 @@ class TestTree:
             assert code == 0
             level = [json.loads(out)["root"]]
             for d in range(6):
-                expected = [(n.obj.word, n.label) for n in eco.generate_level(h, d)]
-                assert [(node["object"], node["label"]) for node in level] == expected
+                assert [(node["object"], node["label"]) for node in level] == eco.generate_level(h, d)
                 level = [c for node in level for c in node["children"]]
             assert level == []
 
@@ -273,6 +272,11 @@ class TestMatrix:
     def test_needs_h2(self, capsys):
         code, _, _ = run(capsys, "matrix", "--h", "1")
         assert code == 2
+
+    def test_h_above_limit(self, capsys):
+        code, out, err = run(capsys, "matrix", "--h", "513")
+        assert (code, out) == (2, "")
+        assert err == "error: --h above 512 is not supported\n"
 
 
 class TestTable:
@@ -298,6 +302,12 @@ class TestTable:
         assert code == 0
         doc = json.loads(out)
         assert doc["coefficients"][13] == [13, -65, 154, -165, 42, 42, -20, 1]
+
+    @pytest.mark.parametrize("flag", ["--h-max", "--j-max"])
+    def test_side_above_limit(self, capsys, flag):
+        code, out, err = run(capsys, "table", flag, "513")
+        assert (code, out) == (2, "")
+        assert err == "error: --h-max and --j-max above 512 are not supported\n"
 
 
 class TestVerify:
@@ -340,6 +350,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "flag, value, scope",
         [
+            ("--n-max", "15", "bijection"),
+            ("--n-max", "15", "eco"),
             ("--h-max", "33", "eco"),
             ("--identity-n-max", "129", "identities"),
             ("--alpha-max", "1025", "identities"),
@@ -353,7 +365,7 @@ class TestVerify:
         assert err.startswith("error: ") and "must be <=" in err
 
     def test_bounds_at_ceiling_accepted(self):
-        VerifyBounds(h_max=32, identity_n_max=128, alpha_max=1024)
+        VerifyBounds(n_max=14, h_max=32, identity_n_max=128, alpha_max=1024)
 
 
 class TestOutputFile(object):

@@ -4,7 +4,7 @@ import pytest
 
 from dyck312 import bijection, dyck, eco, perm
 from dyck312.dyck import CapExceeded, DyckPath
-from dyck312.eco import NotInClass, SuccessionRule, TreeNode
+from dyck312.eco import NotInClass, SuccessionRule
 from dyck312.perm import Permutation
 
 
@@ -67,20 +67,20 @@ class TestSuccessionRule:
         assert eco.succession_rule(4).productions[4] == (2, 3, 3, 4)
 
     def test_production_sizes(self):
-        for h in range(3, 9):
+        for h in range(2, 9):
             for label, prod in eco.succession_rule(h).productions.items():
                 assert len(prod) == label
 
     def test_h_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            eco.succession_rule(2)
+        with pytest.raises(ValueError, match="h >= 2"):
+            eco.succession_rule(1)
 
     def test_size_invariant_enforced(self):
         with pytest.raises(ValueError):
             SuccessionRule(axiom=1, productions={1: (1, 1)})
 
     def test_height_two_rule(self):
-        rule = eco.height_two_rule()
+        rule = eco.succession_rule(2)
         assert rule.productions == {1: (2,), 2: (1, 2)}
 
 
@@ -93,7 +93,7 @@ class TestSymbolicCounts:
         assert total == 5
 
     def test_fibonacci(self):
-        rule = eco.height_two_rule()
+        rule = eco.succession_rule(2)
         totals = [eco.symbolic_counts(rule, n)[0] for n in range(7)]
         assert totals == [1, 1, 2, 3, 5, 8, 13]
         assert eco.symbolic_counts(rule, 10)[0] == 89
@@ -105,21 +105,17 @@ class TestSymbolicCounts:
                 assert eco.symbolic_counts(rule, n)[0] == dyck.count_brute(n, h, 2)
 
     def test_height_two_matches_brute(self):
-        rule = eco.height_two_rule()
+        rule = eco.succession_rule(2)
         for n in range(9):
             assert eco.symbolic_counts(rule, n)[0] == dyck.count_brute(n, 2, 2)
 
 
 class TestGenerateLevel:
     def test_level_zero(self):
-        assert eco.generate_level(3, 0) == [TreeNode(dyck.EMPTY_PATH, 1, 0)]
+        assert eco.generate_level(3, 0) == [("", 1)]
 
     def test_level_two(self):
-        nodes = eco.generate_level(3, 2)
-        assert [(node.obj.word, node.label) for node in nodes] == [
-            ("UDUD", 2),
-            ("UUDD", 3),
-        ]
+        assert eco.generate_level(3, 2) == [("UDUD", 2), ("UUDD", 3)]
 
     def test_level_four_count(self):
         assert len(eco.generate_level(3, 4)) == 12
@@ -127,15 +123,15 @@ class TestGenerateLevel:
     def test_levels_match_children_and_labels(self):
         for h in (3, 4):
             levels = list(eco.iter_levels(h, 6))
-            for parents, kids in zip(levels, levels[1:]):
+            for depth, (parents, kids) in enumerate(zip(levels, levels[1:]), start=1):
                 rebuilt = [
                     (c.word, eco.label_of(c, h))
-                    for node in parents
-                    for c in eco.children(node.obj, h)
+                    for word, _ in parents
+                    for c in eco.children(DyckPath(word), h)
                 ]
-                grown = [pair for node in parents for pair in eco.grow(node.obj.word, h)]
-                assert [(k.obj.word, k.label) for k in kids] == rebuilt == grown
-                assert all(k.level == parents[0].level + 1 for k in kids)
+                grown = [pair for word, _ in parents for pair in eco.grow(word, h)]
+                assert kids == rebuilt == grown
+                assert all(len(word) == 2 * depth for word, _ in kids)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -166,8 +162,7 @@ class TestGenerateLevel:
     def test_per_label_counts_match_initial_run_statistic(self):
         for h in (3, 4):
             for n in range(8):
-                nodes = eco.generate_level(h, n)
-                by_label = Counter(node.label for node in nodes)
+                by_label = Counter(label for _, label in eco.generate_level(h, n))
                 _, symbolic = eco.symbolic_counts(eco.succession_rule(h), n)
                 assert dict(by_label) == symbolic
 

@@ -48,7 +48,7 @@ class TestProductionMatrix:
 
 class TestMatrixFromRule:
     def test_height_two_rule(self):
-        m = prodmat.matrix_from_rule(eco.height_two_rule())
+        m = prodmat.matrix_from_rule(eco.succession_rule(2))
         assert m.rows == ((0, 1), (1, 1))
 
     def test_h3_rule(self):
