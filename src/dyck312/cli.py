@@ -1,19 +1,26 @@
 """Command-line surface: counting, listing, mapping, tree/matrix/table
 rendering, and the cross-validation suite.
 
-Exit codes: 0 success, 1 verification failure or method disagreement,
-2 usage or parse errors, or an --out file that cannot be written. Output is
-deterministic for fixed arguments; JSON documents carry schema_version 1.
+Each command checks its arguments and returns its exit code and its output
+lines; main writes all output, to stdout or to --out, in one place.
+
+Exit codes: 0 success, 1 verification failure, method disagreement or a
+malformed map input line, 2 usage or parse errors, or an --out file that
+cannot be written. Output is deterministic for fixed arguments; JSON
+documents carry schema_version 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import itertools
 import json
 import os
 import stat
 import sys
+from typing import Iterable, Iterator, Sequence
 
 from . import bijection, dyck, eco, genfunc, prodmat
 from . import perm as perm_mod
@@ -35,7 +42,9 @@ class MethodDisagreement(Exception):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        _emit(lines, args.out)
+        return code
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -67,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("paths", "perms"), default="paths")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=eco.DEFAULT_TREE_CAP)
     _output_flags(p, ("text", "csv", "json"))
     p.set_defaults(func=_cmd_list)
 
@@ -85,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--kind", choices=("paths", "perms"), default="paths")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=eco.DEFAULT_TREE_CAP)
     _output_flags(p, ("text", "json"))
     p.set_defaults(func=_cmd_tree)
 
@@ -102,10 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
     p.add_argument("--scope", choices=verify_mod.SCOPES, default="all")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--h-max", type=int, default=5)
-    p.add_argument("--identity-n-max", type=int, default=12)
-    p.add_argument("--alpha-max", type=int, default=6)
+    for field in dataclasses.fields(verify_mod.VerifyBounds):
+        p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
     _output_flags(p, ("text", "json"))
     p.set_defaults(func=_cmd_verify)
 
@@ -117,11 +124,24 @@ def _output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write each line, ended by a newline, to stdout or to --out; zero lines write nothing."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
+        return
+    # CPython appends in place when nothing else holds the line, as when a generator
+    # yields it (a JSON document, a row of counts), so the longest output is not copied
+    first += "\n"
+    text = itertools.chain((first,), (f"{line}\n" for line in lines))
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(text)
+            sys.stdout.flush()  # a closed pipe must show here, not in the flush at exit
+        except BrokenPipeError:
+            # the reader left (`dyck312 list ... | head`): stop writing quietly, as a filter
+            # does, with stdout on devnull so that the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         mode = os.stat(out).st_mode
@@ -130,7 +150,7 @@ def _emit(text: str, out: str | None) -> None:
     if mode is not None and not stat.S_ISREG(mode):
         # a device, pipe or directory: there is no file to replace, so write through it
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(text)
         return
     # write beside the file a symlink resolves to and rename, so a failed write
     # leaves no partial file; the pid keeps the temporary name private to this run
@@ -138,26 +158,39 @@ def _emit(text: str, out: str | None) -> None:
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(text)
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
     except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from exc
+    finally:
+        # nothing is left after the rename; before it, any exception leaves the temp
+        # file, since the lines are made while they are written
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise OSError(exc.errno, exc.strerror, out) from exc
 
 
-def _json_doc(command: str, payload: dict) -> str:
+def _json_doc(command: str, payload: dict) -> Iterator[str]:
+    """The document as one line; yielded, so that _emit holds its only reference."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
-    return json.dumps(doc, indent=2)
+    yield json.dumps(doc, indent=2)
+
+
+def _grid(rows: Iterable[Sequence], fmt: str) -> Iterable[str]:
+    """Rows of cells as CSV lines, or as text lines right-aligned to the widest cell."""
+    if fmt == "csv":
+        return (",".join(map(str, row)) for row in rows)
+    cells = [[str(cell) for cell in row] for row in rows]
+    width = max(len(cell) for row in cells for cell in row)
+    return [" ".join(cell.rjust(width) for cell in row) for row in cells]
 
 
 # ---------------------------------------------------------------- count
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple[int, Iterable[str]]:
     h, n_max, k = args.h, args.n_max, args.k
     if h < 1:
         raise UsageError("--h must be >= 1")
@@ -196,34 +229,27 @@ def _cmd_count(args) -> int:
         wanted = [args.method]
     by_method = {m: compute(m) for m in wanted}
 
+    for i in range(n_max + 1):
+        if len({vals[i] for vals in by_method.values()}) > 1:
+            found = ", ".join(f"{name}={vals[i]}" for name, vals in by_method.items())
+            raise MethodDisagreement(f"n={i}: {found}")
     counts = by_method[wanted[0]]
-    for m in wanted[1:]:
-        if by_method[m] != counts:
-            diffs = [
-                f"n={i}: " + ", ".join(f"{name}={vals[i]}" for name, vals in by_method.items())
-                for i in range(n_max + 1)
-                if len({vals[i] for vals in by_method.values()}) > 1
-            ]
-            raise MethodDisagreement(diffs[0])
 
     if args.format == "text":
-        _emit(",".join(map(str, counts)), args.out)
-    elif args.format == "csv":
-        lines = ["n," + ",".join(wanted)]
-        lines += [f"{i}," + ",".join(str(by_method[m][i]) for m in wanted) for i in range(n_max + 1)]
-        _emit("\n".join(lines), args.out)
-    else:
-        payload = {
-            "h": h,
-            "k": k,
-            "n_max": n_max,
-            "method": args.method,
-            "counts": counts,
-        }
-        if args.method == "all":
-            payload["methods"] = {m: by_method[m] for m in wanted}
-        _emit(_json_doc("count", payload), args.out)
-    return 0
+        return 0, _grid([counts], "csv")  # the counts as one CSV row
+    if args.format == "csv":
+        rows = zip(itertools.count(), *by_method.values())
+        return 0, _grid(itertools.chain((["n", *wanted],), rows), "csv")
+    payload = {
+        "h": h,
+        "k": k,
+        "n_max": n_max,
+        "method": args.method,
+        "counts": counts,
+    }
+    if args.method == "all":
+        payload["methods"] = by_method
+    return 0, _json_doc("count", payload)
 
 
 def _applicable(method: str, h: int, n_max: int, enum_cap: int, tree_cap: int) -> bool:
@@ -246,37 +272,33 @@ def _render(word: str, kind: str) -> str:
     return word
 
 
-def _cmd_list(args) -> int:
+def _cmd_list(args) -> tuple[int, Iterable[str]]:
     if args.h < 3:
         raise UsageError("--h must be >= 3; labels come from the generating tree")
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    cap = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
-    level = eco.generate_level(args.h, args.n, cap=cap)
-    rows = [(_render(word, args.kind), label) for word, label in level]
+    level = eco.generate_level(args.h, args.n, cap=args.cap)
+    rows = ((_render(word, args.kind), label) for word, label in level)
 
     if args.format == "text":
-        _emit("\n".join(f"({label}) {text}".rstrip() for text, label in rows), args.out)
-    elif args.format == "csv":
-        lines = ["object,label"] + [f"{text},{label}" for text, label in rows]
-        _emit("\n".join(lines), args.out)
-    else:
-        payload = {
-            "h": args.h,
-            "n": args.n,
-            "kind": args.kind,
-            "objects": [{"object": text, "label": label} for text, label in rows],
-        }
-        _emit(_json_doc("list", payload), args.out)
-    return 0
+        return 0, (f"({label}) {text}".rstrip() for text, label in rows)
+    if args.format == "csv":
+        return 0, _grid(itertools.chain((("object", "label"),), rows), "csv")
+    payload = {
+        "h": args.h,
+        "n": args.n,
+        "kind": args.kind,
+        "objects": [{"object": text, "label": label} for text, label in rows],
+    }
+    return 0, _json_doc("list", payload)
 
 
 # ---------------------------------------------------------------- map
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args) -> tuple[int, list[str]]:
     out_lines: list[str] = []
-    errors: list[str] = []
+    failed = False
     for i, raw in enumerate(sys.stdin.read().splitlines(), start=1):
         line = raw.strip()
         direction = args.direction
@@ -288,138 +310,100 @@ def _cmd_map(args) -> int:
             else:
                 out_lines.append(str(bijection.perm_to_path(perm_mod.parse_perm(line))))
         except ValueError as exc:
-            errors.append(f"line {i}: {exc}")
-    if out_lines:
-        _emit("\n".join(out_lines), args.out)
-    for message in errors:
-        print(message, file=sys.stderr)
-    return 1 if errors else 0
+            print(f"line {i}: {exc}", file=sys.stderr)
+            failed = True
+    return (1 if failed else 0), out_lines
 
 
 # ---------------------------------------------------------------- tree
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args) -> tuple[int, Iterable[str]]:
     if args.depth < 0:
         raise UsageError("--depth must be >= 0")
-    cap = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
-    if args.depth > cap:
-        raise dyck.CapExceeded(f"depth {args.depth} exceeds tree cap {cap}")
-
-    def build(word: str, label: int, level: int) -> dict:
-        node = {"label": label, "object": _render(word, args.kind)}
-        if level < args.depth:
-            node["children"] = [build(w, lab, level + 1) for w, lab in eco.grow(word, args.h)]
-        else:
-            node["children"] = []
-        return node
-
+    if args.depth > args.cap:
+        raise dyck.CapExceeded(f"depth {args.depth} exceeds tree cap {args.cap}")
     # label_of validates h and the root once; grow's children are members by construction
-    root = build("", eco.label_of(dyck.EMPTY_PATH, args.h), 0)
+    root_label = eco.label_of(dyck.EMPTY_PATH, args.h)
+
+    def walk() -> Iterator[tuple[int, str, int]]:
+        # (depth, object, label) per node, depth first; semilength d sits at depth d
+        stack = [("", root_label)]
+        while stack:
+            word, label = stack.pop()
+            yield len(word) // 2, _render(word, args.kind), label
+            if len(word) < 2 * args.depth:
+                stack.extend(reversed(eco.grow(word, args.h)))
 
     if args.format == "text":
-        lines: list[str] = []
-
-        def walk(node: dict, depth: int) -> None:
-            lines.append(("  " * depth + f"({node['label']}) {node['object']}").rstrip())
-            for child in node["children"]:
-                walk(child, depth + 1)
-
-        walk(root, 0)
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(
-            _json_doc("tree", {"h": args.h, "depth": args.depth, "kind": args.kind, "root": root}),
-            args.out,
-        )
-    return 0
+        return 0, (("  " * depth + f"({label}) {text}").rstrip() for depth, text, label in walk())
+    chain: list[dict] = []  # the nodes from the root to the last one walked
+    for depth, text, label in walk():
+        node = {"label": label, "object": text, "children": []}
+        del chain[depth:]
+        if chain:
+            chain[-1]["children"].append(node)
+        chain.append(node)
+    payload = {"h": args.h, "depth": args.depth, "kind": args.kind, "root": chain[0]}
+    return 0, _json_doc("tree", payload)
 
 
 # ---------------------------------------------------------------- matrix
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> tuple[int, Iterable[str]]:
     if args.h < 2:
         raise UsageError("--h must be >= 2")
     if args.h > LARGE_N_LIMIT:
         raise UsageError(f"--h above {LARGE_N_LIMIT} is not supported")
-    m = prodmat.production_matrix(args.h)
+    rows = prodmat.production_matrix(args.h).rows
     if args.format == "text":
-        width = max(len(str(e)) for row in m.rows for e in row)
-        lines = [" ".join(f"{e:>{width}}" for e in row) for row in m.rows]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(_json_doc("matrix", {"h": args.h, "rows": [list(r) for r in m.rows]}), args.out)
-    return 0
+        return 0, _grid(rows, "text")
+    return 0, _json_doc("matrix", {"h": args.h, "rows": [list(r) for r in rows]})
 
 
 # ---------------------------------------------------------------- table
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, Iterable[str]]:
     if args.h_max < 1 or args.j_max < 1:
         raise UsageError("--h-max and --j-max must be >= 1")
     if args.h_max > LARGE_N_LIMIT or args.j_max > LARGE_N_LIMIT:
         raise UsageError(f"--h-max and --j-max above {LARGE_N_LIMIT} are not supported")
-    rows = [
-        [genfunc.denominator_coeff(h, j) for j in range(1, args.j_max + 1)]
-        for h in range(1, args.h_max + 1)
-    ]
-    if args.format == "text":
-        width = max(
-            [len(str(e)) for row in rows for e in row] + [len(str(args.h_max)), 3]
-        )
-        header = " ".join([f"{'h/j':>{width}}"] + [f"{j:>{width}}" for j in range(1, args.j_max + 1)])
-        lines = [header]
-        for h, row in enumerate(rows, start=1):
-            lines.append(" ".join([f"{h:>{width}}"] + [f"{e:>{width}}" for e in row]))
-        lines.append("")
-        lines.append("note: the diagonals line up with OEIS A112467")
-        _emit("\n".join(lines), args.out)
-    elif args.format == "csv":
-        lines = ["h," + ",".join(str(j) for j in range(1, args.j_max + 1))]
-        lines += [f"{h}," + ",".join(map(str, row)) for h, row in enumerate(rows, start=1)]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(
-            _json_doc(
-                "table",
-                {"h_max": args.h_max, "j_max": args.j_max, "coefficients": rows},
-            ),
-            args.out,
-        )
-    return 0
+    js = range(1, args.j_max + 1)
+    rows = [[genfunc.denominator_coeff(h, j) for j in js] for h in range(1, args.h_max + 1)]
+    if args.format == "json":
+        payload = {"h_max": args.h_max, "j_max": args.j_max, "coefficients": rows}
+        return 0, _json_doc("table", payload)
+    header = ["h/j" if args.format == "text" else "h", *js]
+    grid = [header, *([h, *row] for h, row in enumerate(rows, start=1))]
+    if args.format == "csv":
+        return 0, _grid(grid, "csv")
+    return 0, [*_grid(grid, "text"), "", "note: the diagonals line up with OEIS A112467"]
 
 
 # ---------------------------------------------------------------- verify
 
 
-def _cmd_verify(args) -> int:
-    bounds = verify_mod.VerifyBounds(
-        n_max=args.n_max,
-        h_max=args.h_max,
-        identity_n_max=args.identity_n_max,
-        alpha_max=args.alpha_max,
-    )
+def _cmd_verify(args) -> tuple[int, list[str]]:
+    fields = dataclasses.fields(verify_mod.VerifyBounds)
+    bounds = verify_mod.VerifyBounds(**{f.name: getattr(args, f.name) for f in fields})
     results = verify_mod.run(scope=args.scope, bounds=bounds)
     ok = all(r.passed for r in results)
-    if args.format == "text":
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else "")
-            for r in results
-        ]
-        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-        _emit("\n".join(lines), args.out)
-    else:
+    code = 0 if ok else 1
+    if args.format == "json":
         payload = {
             "scope": args.scope,
             "passed": ok,
-            "results": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
+            "results": [dataclasses.asdict(r) for r in results],
         }
-        _emit(_json_doc("verify", payload), args.out)
-    return 0 if ok else 1
+        return code, _json_doc("verify", payload)
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else "")
+        for r in results
+    ]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    return code, lines
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import stat
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import dyck312
-from dyck312 import dyck, eco
+from dyck312 import cli, dyck, eco
 from dyck312.cli import METHODS, main
 from dyck312.verify import VerifyBounds
 
@@ -368,7 +369,72 @@ class TestVerify:
         VerifyBounds(n_max=14, h_max=32, identity_n_max=128, alpha_max=1024)
 
 
+EVERY_FORMAT = [
+    (command, fmt)
+    for command, formats in [
+        ("count --h 3 --n-max 6 --method all", ("text", "csv", "json")),
+        ("list --h 3 --n 3 --kind perms", ("text", "csv", "json")),
+        ("tree --h 3 --depth 3", ("text", "json")),
+        ("matrix --h 3", ("text", "json")),
+        ("table --h-max 4 --j-max 3", ("text", "csv", "json")),
+        ("verify --n-max 5 --h-max 3 --identity-n-max 6 --alpha-max 2", ("text", "json")),
+    ]
+    for fmt in formats
+] + [("map", None)]
+
+
 class TestOutputFile(object):
+    @pytest.mark.parametrize(
+        "command, fmt", EVERY_FORMAT, ids=[f"{c.split()[0]}-{f}" for c, f in EVERY_FORMAT]
+    )
+    def test_file_holds_stdout(self, capsys, monkeypatch, tmp_path, command, fmt):
+        argv = command.split() + (["--format", fmt] if fmt else [])
+        monkeypatch.setattr("sys.stdin", io.StringIO("UUDUDD\n2 3 1\nUDX\n"))
+        code, out, err = run(capsys, *argv)
+        assert out
+        target = tmp_path / "out.txt"
+        monkeypatch.setattr("sys.stdin", io.StringIO("UUDUDD\n2 3 1\nUDX\n"))
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+        assert target.read_bytes() == out.encode()
+
+    def test_no_lines_create_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdin", io.StringIO("UDX\n3 1 2\n"))
+        code, out, err = run(capsys, "map", "--out", str(tmp_path / "out.txt"))
+        assert (code, out) == (1, "")
+        assert "line 1" in err and "line 2" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_while_writing_keeps_target(self, capsys, monkeypatch, tmp_path):
+        # list renders its lines while they are written; the third one fails
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        calls = itertools.count()
+        render = cli._render
+
+        def failing_render(word, kind):
+            if next(calls) == 2:
+                raise ValueError("no image")
+            return render(word, kind)
+
+        monkeypatch.setattr("dyck312.cli._render", failing_render)
+        code, out, err = run(capsys, "list", "--h", "3", "--n", "3", "--out", str(target))
+        assert (code, out, err) == (2, "", "error: no image\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_interrupt_while_writing_keeps_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+
+        def lines():
+            yield "new"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cli._emit(lines(), str(target))
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_out_flag(self, capsys, tmp_path):
         target = tmp_path / "row.json"
         code = main(["matrix", "--h", "2", "--format", "json", "--out", str(target)])
@@ -418,13 +484,50 @@ class TestOutputFile(object):
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dyck312.__file__))}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, read, code, err",
+    [
+        # 5 MB of output: the reader leaves after 10 bytes, as `| head -c 10` does
+        (["list", "--h", "6", "--n", "12"], b"", 10, 0, b""),
+        # the reader has left before the first byte is written
+        (["count", "--h", "3", "--n-max", "3"], b"", 0, 0, b""),
+        # the exit code still reports the malformed line after the reader has left
+        (["map"], b"UD\n" * 200_000 + b"UDX\n", 10, 1, b"line 200001: "),
+    ],
+    ids=["list-large", "count-small", "map-malformed"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_is_quiet(argv, stdin, read, code, err, unbuffered):
+    cmd = [sys.executable, "-m", "dyck312", *argv]
+    # buffered, stdout fails only when flushed; unbuffered, at the first write
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        cmd,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        proc.stdin.write(stdin)
+        proc.stdin.close()
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
+    # nothing on stderr but the malformed line's own message
+    assert stderr.startswith(err) and stderr.count(b"\n") == (1 if err else 0)
+
+
 def test_optimized_interpreter(capsys):
     # -O strips assert statements, so the checks these commands rely on must raise instead
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dyck312.__file__))}
-
     def run_optimized(*argv):
         cmd = [sys.executable, "-O", "-m", "dyck312", *argv]
-        return subprocess.run(cmd, capture_output=True, text=True, env=env)
+        return subprocess.run(cmd, capture_output=True, text=True, env=SUBPROCESS_ENV)
 
     verified = run_optimized("verify")
     assert verified.returncode == 0, verified.stderr
