@@ -34,15 +34,15 @@ def perm_to_path(pi: Permutation) -> DyckPath:
     """
     if not avoids_312(pi):
         raise Not312Avoiding(f"'{pi}' contains 312")
-    maxima = left_to_right_maxima(pi)
-    n = len(pi.entries)
     parts: list[str] = []
-    prev_value = 0
-    for j, m in enumerate(maxima):
-        run_end = maxima[j + 1].index if j + 1 < len(maxima) else n + 1
-        parts.append("U" * (m.value - prev_value))
-        parts.append("D" * (run_end - m.index))
-        prev_value = m.value
+    best = 0
+    head = 1  # position of the maximum heading the current run
+    for i, v in enumerate(pi.entries, start=1):
+        if v > best:
+            parts.append("D" * (i - head))
+            parts.append("U" * (v - best))
+            best, head = v, i
+    parts.append("D" * (len(pi.entries) + 1 - head))
     return DyckPath("".join(parts))
 
 

@@ -62,14 +62,6 @@ class DyckPath:
 EMPTY_PATH = DyckPath("")
 
 
-@dataclass(frozen=True, slots=True)
-class Valley:
-    """A DU factor: word index of its D step and the height that D reaches."""
-
-    position: int
-    height: int
-
-
 def parse_path(text: str) -> DyckPath:
     """Validate a U/D string and wrap it.
 
@@ -77,20 +69,20 @@ def parse_path(text: str) -> DyckPath:
     first offending index.
     """
     level = 0
-    open_ups: list[int] = []
+    base = 0  # index of the latest up step taken from the axis
     for i, c in enumerate(text):
         if c == "U":
-            open_ups.append(i)
+            if not level:
+                base = i
             level += 1
         elif c == "D":
             level -= 1
             if level < 0:
                 raise NegativePrefix(i)
-            open_ups.pop()
         else:
             raise InvalidCharacter(i, c)
-    if level:
-        raise Unbalanced(open_ups[0])
+    if level:  # no return to the axis after base: it is the first unmatched up
+        raise Unbalanced(base)
     return DyckPath(text)
 
 
@@ -102,22 +94,6 @@ def height(p: DyckPath) -> int:
         if level > top:
             top = level
     return top
-
-
-def valleys(p: DyckPath) -> list[Valley]:
-    """All DU factors, left to right."""
-    out: list[Valley] = []
-    level = 0
-    w = p.word
-    last = len(w) - 1
-    for i, c in enumerate(w):
-        if c == "U":
-            level += 1
-        else:
-            level -= 1
-            if i < last and w[i + 1] == "U":
-                out.append(Valley(i, level))
-    return out
 
 
 def in_class(p: DyckPath, h: int, k: int = 2) -> bool:

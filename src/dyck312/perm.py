@@ -53,21 +53,32 @@ class LrMaximum:
     value: int
 
 
-_SEP = re.compile(r"[\s,]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_perm(text: str) -> Permutation:
-    """Parse space- or comma-separated integers; blank input is the empty
-    permutation."""
-    values: list[int] = []
-    for token in _SEP.split(text.strip()):
-        if not token:
-            continue
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise NotAPermutation(f"not an integer: {token!r}", token) from None
+    """Parse integers separated by whitespace or commas; blank input is the
+    empty permutation. An integer is an optional sign and ASCII digits."""
+    tokens = text.replace(",", " ").split()
+    # int() also reads '1_0' and non-ASCII digits; in ASCII text without '_'
+    # it reads exactly the integers, so one map() converts them all
+    convert = int if text.isascii() and "_" not in text else _integer
+    try:
+        values = list(map(convert, tokens))
+    except ValueError:  # name the first token that is not an integer
+        values = list(map(_integer, tokens))
+    # a list sized once, not tuple(map()): that tuple grows by reallocation,
+    # and the kept tuples fragment the heap so peak memory creeps up
     return Permutation(tuple(values))
+
+
+def _integer(token: str) -> int:
+    try:
+        if _INTEGER.fullmatch(token):
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise NotAPermutation(f"not an integer: {token!r}", token)
 
 
 def _avoids_312_seq(entries) -> bool:
@@ -119,6 +130,24 @@ def left_to_right_maxima(pi: Permutation) -> list[LrMaximum]:
     return out
 
 
+def _maxima_scan(entries, h: int) -> tuple[int, bool]:
+    """The largest excess of a left-to-right maximum, and whether two maxima
+    of excess h-1 sit at adjacent positions (their values are then
+    consecutive too)."""
+    top = best = 0
+    last = -1  # position of the latest maximum of excess h-1
+    pair = False
+    for i, v in enumerate(entries, start=1):
+        if v > best:
+            best, excess = v, v - i
+            if excess > top:
+                top = excess
+            if excess == h - 1:
+                pair = pair or last == i - 1
+                last = i
+    return top, pair
+
+
 def in_height_class(pi: Permutation, h: int) -> bool:
     """312-avoiding with every left-to-right maximum of excess at most h-1.
 
@@ -127,9 +156,7 @@ def in_height_class(pi: Permutation, h: int) -> bool:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    if not avoids_312(pi):
-        return False
-    return all(m.value - m.index <= h - 1 for m in left_to_right_maxima(pi))
+    return avoids_312(pi) and _maxima_scan(pi.entries, h)[0] <= h - 1
 
 
 def in_class(pi: Permutation, h: int) -> bool:
@@ -141,14 +168,9 @@ def in_class(pi: Permutation, h: int) -> bool:
     in 2 1 3 at h=2 the maxima 2 and 3 differ by one but sit apart, and the
     corresponding path UUDDUD has no valley at height 1.
     """
-    if not in_height_class(pi, h):
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    if not avoids_312(pi):
         return False
-    maxima = left_to_right_maxima(pi)
-    for m, nxt in zip(maxima, maxima[1:]):
-        if (
-            m.value - m.index == h - 1
-            and nxt.index == m.index + 1
-            and nxt.value == m.value + 1
-        ):
-            return False
-    return True
+    top, pair = _maxima_scan(pi.entries, h)
+    return top <= h - 1 and not pair

@@ -16,6 +16,8 @@ import pytest
 
 from dyck312 import dyck, eco, genfunc, prodmat, verify
 
+from test_dyck import valley_heights
+
 # covers paths n<=10, avoiders n<=9, the cubic oracle n<=8, eco h=3..5 up to
 # level 10, the matrix at h=3..10 with per-label counts at n<=10, and the
 # identities at n<=12, alpha<=6
@@ -145,14 +147,14 @@ def test_four_way_count_agreement():
         paths = dyck.enumerate_dyck(n)
         for p in paths:
             top = dyck.height(p)
-            valley_heights = {v.height for v in dyck.valleys(p)}
+            valleys = valley_heights(p.word)
             for h in heights:
-                if top <= h and h - 1 not in valley_heights:
+                if top <= h and h - 1 not in valleys:
                     brute[h][n] += 1
             if n <= 9:  # cross-check the packaged predicate against the raw filter
                 for h in heights:
                     assert dyck.in_class(p, h, 2) == (
-                        top <= h and h - 1 not in valley_heights
+                        top <= h and h - 1 not in valleys
                     )
     for h in heights:
         assert tuple(brute[h]) == formula[h], h

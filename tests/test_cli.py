@@ -208,6 +208,14 @@ class TestMap:
         assert "line 1" in err and "312" in err
         assert out.splitlines() == ["UD"]  # the good line still maps
 
+    def test_token_only_int_reads(self, capsys, monkeypatch):
+        # int() reads '1_0' as 10; the error quotes the token as written
+        self.feed(monkeypatch, "2 1 3\n2 1_0 1 3 4 5 6 7 8 9\n")
+        code, out, err = run(capsys, "map", "--direction", "to-path")
+        assert code == 1
+        assert err == "line 2: not an integer: '1_0'\n"
+        assert out.splitlines() == ["UUDDUD"]
+
     def test_parse_error_line_number(self, capsys, monkeypatch):
         self.feed(monkeypatch, "UD\nUDX\n")
         code, out, err = run(capsys, "map")

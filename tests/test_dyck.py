@@ -9,10 +9,18 @@ from dyck312.dyck import (
     InvalidCharacter,
     NegativePrefix,
     Unbalanced,
-    Valley,
 )
 
 from strategies import dyck_words
+
+
+def valley_heights(word: str) -> set[int]:
+    """Heights of the DU factors: the D at index i ends at 2*ups - (i + 1)."""
+    return {
+        2 * word[: i + 1].count("U") - (i + 1)
+        for i in range(len(word) - 1)
+        if word[i : i + 2] == "DU"
+    }
 
 
 class TestParse:
@@ -65,23 +73,6 @@ class TestHeight:
         assert 0 <= dyck.height(p) <= p.semilength
 
 
-class TestValleys:
-    def test_examples(self):
-        assert dyck.valleys(DyckPath("UUDUDD")) == [Valley(2, 1)]
-        assert dyck.valleys(DyckPath("UUUDUDDD")) == [Valley(3, 2)]
-        assert dyck.valleys(DyckPath("UUUDDD")) == []
-
-    @given(dyck_words())
-    def test_structure(self, word):
-        p = DyckPath(word)
-        top = dyck.height(p)
-        for v in dyck.valleys(p):
-            assert word[v.position] == "D" and word[v.position + 1] == "U"
-            assert 0 <= v.height <= top - 1
-            ups = word[: v.position + 1].count("U")
-            assert v.height == 2 * ups - (v.position + 1)
-
-
 class TestInClass:
     def test_examples(self):
         assert not dyck.in_class(DyckPath("UUUDUDDD"), 3, 2)
@@ -118,7 +109,7 @@ class TestInClass:
     @given(dyck_words(), st.integers(1, 10))
     def test_matches_definition(self, word, h):
         p = DyckPath(word)
-        expected = dyck.height(p) <= h and all(v.height != h - 1 for v in dyck.valleys(p))
+        expected = dyck.height(p) <= h and h - 1 not in valley_heights(word)
         assert dyck.in_class(p, h, 2) == expected
 
 

@@ -1,0 +1,140 @@
+"""The single-scan primitives against the formulations they replaced.
+
+Each reference below is the earlier, list-building version of a primitive,
+kept verbatim as an oracle: the rewrite must give the same answer, or raise
+the same exception class with the same index and message.
+"""
+
+import re
+from itertools import permutations
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dyck312 import bijection, dyck, perm
+from dyck312.bijection import Not312Avoiding
+from dyck312.dyck import DyckPath, InvalidCharacter, NegativePrefix, Unbalanced
+from dyck312.perm import NotAPermutation, Permutation, left_to_right_maxima
+
+from strategies import dyck_words, perm_tuples
+
+
+def ref_parse_path(text: str) -> DyckPath:
+    level = 0
+    open_ups: list[int] = []
+    for i, c in enumerate(text):
+        if c == "U":
+            open_ups.append(i)
+            level += 1
+        elif c == "D":
+            level -= 1
+            if level < 0:
+                raise NegativePrefix(i)
+            open_ups.pop()
+        else:
+            raise InvalidCharacter(i, c)
+    if level:
+        raise Unbalanced(open_ups[0])
+    return DyckPath(text)
+
+
+def ref_parse_perm(text: str) -> Permutation:
+    values: list[int] = []
+    for token in re.split(r"[\s,]+", text.strip()):
+        if not token:
+            continue
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise NotAPermutation(f"not an integer: {token!r}", token) from None
+    return Permutation(tuple(values))
+
+
+def ref_in_height_class(pi: Permutation, h: int) -> bool:
+    if not perm.avoids_312(pi):
+        return False
+    return all(m.value - m.index <= h - 1 for m in left_to_right_maxima(pi))
+
+
+def ref_in_class(pi: Permutation, h: int) -> bool:
+    if not ref_in_height_class(pi, h):
+        return False
+    maxima = left_to_right_maxima(pi)
+    for m, nxt in zip(maxima, maxima[1:]):
+        if m.value - m.index == h - 1 and nxt.index == m.index + 1 and nxt.value == m.value + 1:
+            return False
+    return True
+
+
+def ref_perm_to_path(pi: Permutation) -> DyckPath:
+    if not perm.avoids_312(pi):
+        raise Not312Avoiding(f"'{pi}' contains 312")
+    maxima = left_to_right_maxima(pi)
+    n = len(pi.entries)
+    parts: list[str] = []
+    prev_value = 0
+    for j, m in enumerate(maxima):
+        run_end = maxima[j + 1].index if j + 1 < len(maxima) else n + 1
+        parts.append("U" * (m.value - prev_value))
+        parts.append("D" * (run_end - m.index))
+        prev_value = m.value
+    return DyckPath("".join(parts))
+
+
+def outcome(fn, *args):
+    """fn's value, or the class, message, index and value of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "value", None)
+
+
+avoiders = dyck_words(max_semilength=60).map(lambda w: bijection.path_to_perm(DyckPath(w)))
+
+
+def test_membership_on_every_small_permutation():
+    for n in range(8):
+        for t in permutations(range(1, n + 1)):
+            pi = Permutation(t)
+            for h in range(1, n + 2):
+                assert perm.in_height_class(pi, h) == ref_in_height_class(pi, h), (t, h)
+                assert perm.in_class(pi, h) == ref_in_class(pi, h), (t, h)
+
+
+@given(st.one_of(avoiders, perm_tuples(max_n=60).map(Permutation)), st.integers(1, 62))
+def test_membership_on_long_permutations(pi, h):
+    assert perm.in_height_class(pi, h) == ref_in_height_class(pi, h)
+    assert perm.in_class(pi, h) == ref_in_class(pi, h)
+
+
+@given(st.one_of(avoiders, perm_tuples(max_n=60).map(Permutation)))
+def test_perm_to_path(pi):
+    assert outcome(bijection.perm_to_path, pi) == outcome(ref_perm_to_path, pi)
+
+
+@given(st.one_of(st.text("UD", max_size=40), st.text("UDX", max_size=40), dyck_words(20)))
+def test_parse_path(text):
+    assert outcome(dyck.parse_path, text) == outcome(ref_parse_path, text)
+
+
+# int() reads a token the same way under both grammars unless it has an
+# underscore or a non-ASCII digit; test_perm checks those
+bad_tokens = st.sampled_from(["x", "2.0", "0x1", "1e3", "--1", "+", "-", "\u00bd", "1a"])
+perm_tokens = st.one_of(
+    perm_tuples(max_n=12).map(lambda t: list(map(str, t))),
+    st.lists(st.one_of(st.integers(-2, 12).map(str), st.integers(1, 8).map("+{}".format), bad_tokens),
+             max_size=12),
+)
+separators = st.sampled_from([" ", ",", ", ", "\t", "  ", "\u00a0", ",,"])
+
+
+@given(perm_tokens, st.data())
+def test_parse_perm(tokens, data):
+    text = "".join(data.draw(separators) + token for token in tokens) + data.draw(separators)
+    assert outcome(perm.parse_perm, text) == outcome(ref_parse_perm, text)
+
+
+def test_parse_perm_past_the_digit_limit():
+    # int() refuses this many digits; both versions call the token not an integer
+    text = "1 " + "2" * 5000
+    assert outcome(perm.parse_perm, text) == outcome(ref_parse_perm, text)

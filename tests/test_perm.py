@@ -35,6 +35,17 @@ class TestParse:
         with pytest.raises(NotAPermutation):
             perm.parse_perm("1 x 2")
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff12", "+1_0"])
+    def test_only_ascii_digits(self, token):
+        # int() reads each of these; the format is an optional sign and 0-9
+        with pytest.raises(NotAPermutation) as exc:
+            perm.parse_perm(f"2 {token} 1")
+        assert str(exc.value) == f"not an integer: {token!r}"
+        assert exc.value.value == token
+
+    def test_signs_and_unicode_separators(self):
+        assert perm.parse_perm("+2\u00a0+1,3") == Permutation((2, 1, 3))
+
     def test_constructor_validates(self):
         with pytest.raises(NotAPermutation):
             Permutation((0, 1))
