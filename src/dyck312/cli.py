@@ -20,6 +20,7 @@ import json
 import os
 import stat
 import sys
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from . import bijection, dyck, eco, genfunc, prodmat
@@ -219,7 +220,9 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
             return list(prodmat.level_totals(prodmat.production_matrix(bound), 1, n_max))
         if method == "brute":
             return [dyck.count_brute(n, bound, k, cap=enum_cap) for n in range(n_max + 1)]
-        return [len(level) for level in eco.iter_levels(bound, n_max, cap=tree_cap)]
+        # a node of semilength n sits at level n; the walk holds one path, not a level
+        sizes = Counter(len(word) // 2 for word, _ in eco.walk(bound, n_max, cap=tree_cap))
+        return [sizes[n] for n in range(n_max + 1)]
 
     if args.method == "all":
         wanted = [m for m in METHODS if _applicable(m, h, n_max, enum_cap, tree_cap)]
@@ -323,22 +326,16 @@ def _cmd_tree(args) -> tuple[int, Iterable[str]]:
         raise UsageError("--depth must be >= 0")
     if args.depth > args.cap:
         raise dyck.CapExceeded(f"depth {args.depth} exceeds tree cap {args.cap}")
-    # label_of validates h and the root once; grow's children are members by construction
-    root_label = eco.label_of(dyck.EMPTY_PATH, args.h)
-
-    def walk() -> Iterator[tuple[int, str, int]]:
-        # (depth, object, label) per node, depth first; semilength d sits at depth d
-        stack = [("", root_label)]
-        while stack:
-            word, label = stack.pop()
-            yield len(word) // 2, _render(word, args.kind), label
-            if len(word) < 2 * args.depth:
-                stack.extend(reversed(eco.grow(word, args.h)))
+    # (depth, object, label) per node, depth first; semilength d sits at depth d
+    walk = (
+        (len(word) // 2, _render(word, args.kind), label)
+        for word, label in eco.walk(args.h, args.depth, cap=args.cap)
+    )
 
     if args.format == "text":
-        return 0, (("  " * depth + f"({label}) {text}").rstrip() for depth, text, label in walk())
+        return 0, (("  " * depth + f"({label}) {text}").rstrip() for depth, text, label in walk)
     chain: list[dict] = []  # the nodes from the root to the last one walked
-    for depth, text, label in walk():
+    for depth, text, label in walk:
         node = {"label": label, "object": text, "children": []}
         del chain[depth:]
         if chain:

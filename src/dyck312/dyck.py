@@ -134,28 +134,26 @@ def catalan(n: int) -> int:
 
 
 def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
-    """All paths of semilength n, in lexicographic word order ('D' < 'U')."""
+    """All paths of semilength n, in lexicographic word order ('D' < 'U').
+
+    Each word is a first half of n steps ending at some level l, then a way
+    down from l in n steps. A way down, reversed with U and D swapped, is a
+    first half ending at l, so the first halves, listed once, give both.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > cap:
         raise CapExceeded(f"semilength {n} exceeds cap {cap}")
-    words: list[str] = []
-    _fill([], 0, n, words)
-    return [DyckPath(w) for w in words]
-
-
-def _fill(prefix: list[str], open_: int, ups_left: int, out: list[str]) -> None:
-    # trying 'D' before 'U' yields lexicographic order
-    if ups_left == 0:
-        out.append("".join(prefix) + "D" * open_)
-        return
-    if open_:
-        prefix.append("D")
-        _fill(prefix, open_ - 1, ups_left, out)
-        prefix.pop()
-    prefix.append("U")
-    _fill(prefix, open_ + 1, ups_left - 1, out)
-    prefix.pop()
+    heads = [("", 0)]  # (first half, its end level), kept in lexicographic order
+    for _ in range(n):
+        heads = [(w + c, l + d) for w, l in heads for c, d in (("D", -1), ("U", 1)) if l + d >= 0]
+    mirror = str.maketrans("UD", "DU")
+    tails: dict[int, list[str]] = {}
+    for w, l in heads:
+        tails.setdefault(l, []).append(w[::-1].translate(mirror))
+    for ways in tails.values():
+        ways.sort()
+    return [DyckPath(head + tail) for head, l in heads for tail in tails[l]]
 
 
 def count_brute(n: int, h: int, k: int = 2, cap: int = DEFAULT_CAP) -> int:

@@ -124,6 +124,13 @@ def symbolic_counts(rule: SuccessionRule, n: int) -> tuple[int, dict[Label, int]
     return sum(counts.values()), dict(counts)
 
 
+def _require_depth(name: str, n: int, cap: int) -> None:
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    if n > cap:
+        raise CapExceeded(f"level {n} exceeds tree cap {cap}")
+
+
 def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[list[tuple[str, Label]]]:
     """Yield levels 0..n_max of the path generating tree, breadth-first, each
     a list of (word, label) pairs as grow() returns them; level 0 is the root
@@ -134,15 +141,31 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
     without the per-node membership check of children().
     """
     _require_h(h)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if n_max > cap:
-        raise CapExceeded(f"level {n_max} exceeds tree cap {cap}")
+    _require_depth("n_max", n_max, cap)
     level = [("", 1)]
     yield level
     for _ in range(n_max):
         level = [child for word, _ in level for child in grow(word, h)]
         yield level
+
+
+def walk(h: int, depth: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, Label]]:
+    """Yield the (word, label) nodes of levels 0..depth of the path generating
+    tree depth first: a node, then its children's subtrees in site order, so
+    each level's nodes come in generate_level()'s order. Only the pending
+    siblings along one root-to-node path are held, O(depth * h) nodes rather
+    than a level. The checks run when the first node is asked for."""
+    _require_h(h)
+    _require_depth("depth", depth, cap)
+    stack = [("", 1)]
+    while stack:
+        node = stack.pop()
+        yield node
+        word = node[0]
+        if len(word) < 2 * depth - 2:
+            stack.extend(reversed(grow(word, h)))
+        elif len(word) < 2 * depth:  # the children are leaves: no need to stack them
+            yield from grow(word, h)
 
 
 def generate_level(h: int, n: int, cap: int = DEFAULT_TREE_CAP) -> list[tuple[str, Label]]:

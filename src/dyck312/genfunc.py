@@ -24,7 +24,7 @@ class NonUnitConstantTerm(ValueError):
     """Series extraction needs a +-1 constant term in the denominator."""
 
 
-def binom(m: int, r: int) -> int:
+def _binom(m: int, r: int) -> int:
     """Binomial coefficient, zero outside Pascal's triangle (m < 0, r < 0 or
     r > m). The zero convention makes out-of-degree terms vanish on their own."""
     if m < 0 or r < 0 or r > m:
@@ -47,10 +47,10 @@ def _denominators(h: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _coeff(h: int, j: int) -> int:
     """Closed form of -[x^j] d(h) for h >= 0, j >= 1:
-    ((3j - h - 2) / j) * binom(h - j + 1, j - 1) * (-1)^j, zero for j beyond
+    ((3j - h - 2) / j) * _binom(h - j + 1, j - 1) * (-1)^j, zero for j beyond
     ceil((h+1)/2). Division by j is exact; a remainder raises
     NonIntegralCoefficient (must never happen)."""
-    t = (3 * j - h - 2) * binom(h - j + 1, j - 1) * (-1) ** j
+    t = (3 * j - h - 2) * _binom(h - j + 1, j - 1) * (-1) ** j
     if t % j:
         raise NonIntegralCoefficient(f"(h={h}, j={j}): {t} not divisible by {j}")
     return t // j

@@ -42,9 +42,6 @@ class Permutation:
         return " ".join(map(str, self.entries))
 
 
-EMPTY_PERM = Permutation(())
-
-
 @dataclass(frozen=True, slots=True)
 class LrMaximum:
     """A left-to-right maximum: 1-based position and the entry there."""

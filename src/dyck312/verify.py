@@ -198,16 +198,19 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
     count_bad: list[str] = []
     for h in h_range:
         rule = eco.succession_rule(h)
-        level = [dyck.EMPTY_PATH]
+        # each node's label is computed once, as a child, and kept for it as a parent
+        level, level_labels = [dyck.EMPTY_PATH], [eco.label_of(dyck.EMPTY_PATH, h)]
         for n in range(n_max + 1):
             produced: list[dyck.DyckPath] = []
-            for p in level:
+            labels: list[eco.Label] = []
+            for p, p_label in zip(level, level_labels):
                 kids = eco.children(p, h)
                 produced.extend(kids)
                 if not all(dyck.in_class(c, h, 2) for c in kids):
                     membership_bad.append(f"h={h}, parent {p.word!r}")
-                labels = Counter(eco.label_of(c, h) for c in kids)
-                if labels != Counter(rule.productions[eco.label_of(p, h)]):
+                kid_labels = [eco.label_of(c, h) for c in kids]
+                labels.extend(kid_labels)
+                if Counter(kid_labels) != Counter(rule.productions[p_label]):
                     label_bad.append(f"h={h}, parent {p.word!r}")
                 mapped = [bijection.path_to_perm(c) for c in kids]
                 if mapped != eco.perm_children(bijection.path_to_perm(p), h):
@@ -220,11 +223,9 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
             if set(produced) != expected:
                 cover_bad.append(f"h={h}, level {n + 1} misses members")
             total, per_label = eco.symbolic_counts(rule, n + 1)
-            if total != len(produced) or per_label != dict(
-                Counter(eco.label_of(c, h) for c in produced)
-            ):
+            if total != len(produced) or per_label != dict(Counter(labels)):
                 count_bad.append(f"h={h}, level {n + 1}")
-            level = produced
+            level, level_labels = produced, labels
 
     covered = f"h in {list(h_range)}, n<={n_max}"
     return [

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -128,6 +129,18 @@ class TestCount:
         code, out, err = run(capsys, "count", "--h", "2", "--n-max", "1", "--method", "eco")
         assert (code, out) == (2, "")
         assert "needs --h >= 3" in err
+
+    def test_eco_holds_one_path_not_a_level(self, capsys):
+        # level 12 alone is 208,012 (word, label) pairs, about 28 MB as a list
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "count", "--h", "12", "--n-max", "12", "--method", "eco")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.strip().split(",")[-1] == str(dyck.catalan(12))
+        assert peak < 2_000_000
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "count", "--h", "4", "--n-max", "10")

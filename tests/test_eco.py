@@ -167,9 +167,35 @@ class TestGenerateLevel:
                 assert dict(by_label) == symbolic
 
 
+class TestWalk:
+    def test_levels_in_walk_order(self):
+        for h in range(3, 8):
+            nodes = list(eco.walk(h, 9))
+            for n in range(10):
+                assert [node for node in nodes if len(node[0]) == 2 * n] == eco.generate_level(h, n)
+
+    def test_depth_first(self):
+        assert list(eco.walk(3, 2)) == [("", 1), ("UD", 2), ("UDUD", 2), ("UUDD", 3)]
+        assert list(eco.walk(3, 0)) == [("", 1)]
+
+    @pytest.mark.parametrize(
+        "h, depth, cap, error, message",
+        [
+            (2, 3, 12, ValueError, "the growth operator needs h >= 3, got 2"),
+            (3, -1, 12, ValueError, "depth must be >= 0, got -1"),
+            (3, 5, 4, CapExceeded, "level 5 exceeds tree cap 4"),
+            (3, 13, eco.DEFAULT_TREE_CAP, CapExceeded, "level 13 exceeds tree cap 12"),
+        ],
+    )
+    def test_errors(self, h, depth, cap, error, message):
+        with pytest.raises(error) as info:
+            next(eco.walk(h, depth, cap=cap))
+        assert str(info.value) == message
+
+
 class TestPermChildren:
     def test_axiom(self):
-        assert eco.perm_children(perm.EMPTY_PERM, 3) == [Permutation((1,))]
+        assert eco.perm_children(Permutation(()), 3) == [Permutation((1,))]
 
     def test_singleton(self):
         assert eco.perm_children(Permutation((1,)), 3) == [
@@ -187,7 +213,7 @@ class TestPermChildren:
             eco.perm_children(Permutation((3, 1, 2)), 3)
 
     def test_labels(self):
-        assert eco.perm_label(perm.EMPTY_PERM, 3) == 1
+        assert eco.perm_label(Permutation(()), 3) == 1
         assert eco.perm_label(Permutation((1,)), 3) == 2
         assert eco.perm_label(Permutation((3, 2, 1)), 3) == 2
         assert eco.perm_label(Permutation((2, 1)), 3) == 3

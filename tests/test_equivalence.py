@@ -1,19 +1,21 @@
-"""The single-scan primitives against the formulations they replaced.
+"""The single-scan primitives and the two-halves enumeration against the
+formulations they replaced.
 
-Each reference below is the earlier, list-building version of a primitive,
-kept verbatim as an oracle: the rewrite must give the same answer, or raise
-the same exception class with the same index and message.
+Each reference below is the earlier version of a function, kept verbatim as
+an oracle: the rewrite must give the same answer, or raise the same exception
+class with the same index and message.
 """
 
 import re
 from itertools import permutations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dyck312 import bijection, dyck, perm
 from dyck312.bijection import Not312Avoiding
-from dyck312.dyck import DyckPath, InvalidCharacter, NegativePrefix, Unbalanced
+from dyck312.dyck import DEFAULT_CAP, CapExceeded, DyckPath, InvalidCharacter, NegativePrefix, Unbalanced
 from dyck312.perm import NotAPermutation, Permutation, left_to_right_maxima
 
 from strategies import dyck_words, perm_tuples
@@ -81,6 +83,31 @@ def ref_perm_to_path(pi: Permutation) -> DyckPath:
     return DyckPath("".join(parts))
 
 
+def ref_enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
+    """All paths of semilength n, in lexicographic word order ('D' < 'U')."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > cap:
+        raise CapExceeded(f"semilength {n} exceeds cap {cap}")
+    words: list[str] = []
+    _fill([], 0, n, words)
+    return [DyckPath(w) for w in words]
+
+
+def _fill(prefix: list[str], open_: int, ups_left: int, out: list[str]) -> None:
+    # trying 'D' before 'U' yields lexicographic order
+    if ups_left == 0:
+        out.append("".join(prefix) + "D" * open_)
+        return
+    if open_:
+        prefix.append("D")
+        _fill(prefix, open_ - 1, ups_left, out)
+        prefix.pop()
+    prefix.append("U")
+    _fill(prefix, open_ + 1, ups_left - 1, out)
+    prefix.pop()
+
+
 def outcome(fn, *args):
     """fn's value, or the class, message, index and value of what it raised."""
     try:
@@ -138,3 +165,14 @@ def test_parse_perm_past_the_digit_limit():
     # int() refuses this many digits; both versions call the token not an integer
     text = "1 " + "2" * 5000
     assert outcome(perm.parse_perm, text) == outcome(ref_parse_perm, text)
+
+
+def test_enumerate_dyck_same_words_in_the_same_order():
+    for n in range(13):
+        assert dyck.enumerate_dyck(n) == ref_enumerate_dyck(n), n
+
+
+@pytest.mark.parametrize("n, cap", [(-1, DEFAULT_CAP), (DEFAULT_CAP + 1, DEFAULT_CAP), (5, 4), (0, -1)])
+def test_enumerate_dyck_errors(n, cap):
+    assert outcome(dyck.enumerate_dyck, n, cap) == outcome(ref_enumerate_dyck, n, cap)
+    assert isinstance(outcome(dyck.enumerate_dyck, n, cap), tuple)

@@ -1,7 +1,7 @@
 import pytest
 
 from dyck312 import dyck, genfunc
-from dyck312.genfunc import NonUnitConstantTerm, binom
+from dyck312.genfunc import NonUnitConstantTerm, _binom
 
 # coefficient table for h = 1..14, j = 1..8; frozen reference values
 COEFF_TABLE = [
@@ -26,10 +26,10 @@ FIBONACCI = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597
 
 class TestBinom:
     def test_zero_conventions(self):
-        assert binom(-1, 2) == 0
-        assert binom(3, -1) == 0
-        assert binom(2, 5) == 0
-        assert binom(5, 2) == 10
+        assert _binom(-1, 2) == 0
+        assert _binom(3, -1) == 0
+        assert _binom(2, 5) == 0
+        assert _binom(5, 2) == 10
 
 
 class TestDenominatorPoly:

@@ -18,8 +18,8 @@ class TestParse:
         assert perm.parse_perm("2,3,1") == Permutation((2, 3, 1))
 
     def test_empty(self):
-        assert perm.parse_perm("") == perm.EMPTY_PERM
-        assert perm.parse_perm("   ") == perm.EMPTY_PERM
+        assert perm.parse_perm("") == Permutation(())
+        assert perm.parse_perm("   ") == Permutation(())
 
     def test_duplicate(self):
         with pytest.raises(NotAPermutation) as exc:
@@ -57,7 +57,7 @@ class TestAvoids312:
     def test_examples(self):
         assert not perm.avoids_312(Permutation((3, 5, 2, 1, 6, 4)))
         assert perm.avoids_312(Permutation((3, 4, 2, 5, 1)))
-        assert perm.avoids_312(perm.EMPTY_PERM)
+        assert perm.avoids_312(Permutation(()))
         assert not perm.avoids_312(Permutation((3, 1, 2)))
 
     @given(perm_tuples(max_n=7))
@@ -89,7 +89,7 @@ class TestLeftToRightMaxima:
             LrMaximum(3, 3),
         ]
         assert perm.left_to_right_maxima(Permutation((3, 2, 1))) == [LrMaximum(1, 3)]
-        assert perm.left_to_right_maxima(perm.EMPTY_PERM) == []
+        assert perm.left_to_right_maxima(Permutation(())) == []
 
     @given(perm_tuples())
     def test_first_entry_is_maximum(self, t):
@@ -128,8 +128,8 @@ class TestValleyFreeClass:
         # 3 1 4 2 and 3 1 2 4 contain 312 outright
         assert not perm.in_class(Permutation((3, 1, 4, 2)), 3)
         assert not perm.in_class(Permutation((3, 1, 2, 4)), 3)
-        assert perm.in_class(perm.EMPTY_PERM, 1)
-        assert perm.in_class(perm.EMPTY_PERM, 5)
+        assert perm.in_class(Permutation(()), 1)
+        assert perm.in_class(Permutation(()), 5)
 
     def test_adjacency_is_required(self):
         # maxima 2 and 3 differ by one but are not adjacent; the matching
