@@ -219,6 +219,7 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
         if method == "matrix":
             return list(prodmat.level_totals(prodmat.production_matrix(bound), 1, n_max))
         if method == "brute":
+            dyck.require_size(n_max, enum_cap)  # before any smaller size is enumerated
             return [dyck.count_brute(n, bound, k, cap=enum_cap) for n in range(n_max + 1)]
         # a node of semilength n sits at level n; the walk holds one path, not a level
         sizes = Counter(len(word) // 2 for word, _ in eco.walk(bound, n_max, cap=tree_cap))
@@ -280,8 +281,9 @@ def _cmd_list(args) -> tuple[int, Iterable[str]]:
         raise UsageError("--h must be >= 3; labels come from the generating tree")
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    level = eco.generate_level(args.h, args.n, cap=args.cap)
-    rows = ((_render(word, args.kind), label) for word, label in level)
+    # level n is the walk's nodes of semilength n, in tree order; they stream to _emit
+    nodes = eco.walk(args.h, args.n, cap=args.cap)
+    rows = ((_render(word, args.kind), label) for word, label in nodes if len(word) == 2 * args.n)
 
     if args.format == "text":
         return 0, (f"({label}) {text}".rstrip() for text, label in rows)

@@ -51,15 +51,8 @@ class DyckPath:
 
     word: str
 
-    @property
-    def semilength(self) -> int:
-        return len(self.word) // 2
-
     def __str__(self) -> str:
         return self.word
-
-
-EMPTY_PATH = DyckPath("")
 
 
 def parse_path(text: str) -> DyckPath:
@@ -133,6 +126,14 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def require_size(n: int, cap: int = DEFAULT_CAP) -> None:
+    """Raise unless enumerate_dyck accepts semilength n: 0 <= n <= cap."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > cap:
+        raise CapExceeded(f"semilength {n} exceeds cap {cap}")
+
+
 def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
     """All paths of semilength n, in lexicographic word order ('D' < 'U').
 
@@ -140,10 +141,7 @@ def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
     down from l in n steps. A way down, reversed with U and D swapped, is a
     first half ending at l, so the first halves, listed once, give both.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceeded(f"semilength {n} exceeds cap {cap}")
+    require_size(n, cap)
     heads = [("", 0)]  # (first half, its end level), kept in lexicographic order
     for _ in range(n):
         heads = [(w + c, l + d) for w, l in heads for c, d in (("D", -1), ("U", 1)) if l + d >= 0]

@@ -138,7 +138,8 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
 
     Children appear in parent order then site order, so output is
     reproducible. Parents are class members by construction, so grow() runs
-    without the per-node membership check of children().
+    without the per-node membership check of children(). This is the
+    breadth-first reference that the tests compare walk() against.
     """
     _require_h(h)
     _require_depth("n_max", n_max, cap)
@@ -152,11 +153,15 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
 def walk(h: int, depth: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, Label]]:
     """Yield the (word, label) nodes of levels 0..depth of the path generating
     tree depth first: a node, then its children's subtrees in site order, so
-    each level's nodes come in generate_level()'s order. Only the pending
+    each level's nodes come in iter_levels()'s order. Only the pending
     siblings along one root-to-node path are held, O(depth * h) nodes rather
-    than a level. The checks run when the first node is asked for."""
+    than a level. The checks run at the call, before any node is asked for."""
     _require_h(h)
     _require_depth("depth", depth, cap)
+    return _walk(h, depth)
+
+
+def _walk(h: int, depth: int) -> Iterator[tuple[str, Label]]:
     stack = [("", 1)]
     while stack:
         node = stack.pop()
@@ -166,15 +171,6 @@ def walk(h: int, depth: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str,
             stack.extend(reversed(grow(word, h)))
         elif len(word) < 2 * depth:  # the children are leaves: no need to stack them
             yield from grow(word, h)
-
-
-def generate_level(h: int, n: int, cap: int = DEFAULT_TREE_CAP) -> list[tuple[str, Label]]:
-    """Level n of the path generating tree: the (word, label) pair of every
-    class member of semilength n, in tree order."""
-    result: list[tuple[str, Label]] = []
-    for result in iter_levels(h, n, cap=cap):
-        pass
-    return result
 
 
 def perm_children(pi: Permutation, h: int) -> list[Permutation]:
@@ -201,7 +197,7 @@ def perm_children(pi: Permutation, h: int) -> list[Permutation]:
 
 def perm_label(pi: Permutation, h: int) -> Label:
     """Tree label of a permutation: 1 when empty, first entry + 1, except h-1
-    when the first entry is h. Agrees with label_of across the bijection."""
+    when the first entry is h. Agrees with grow()'s labels across the bijection."""
     _require_h(h)
     if not perm.in_class(pi, h):
         raise NotInClass(f"permutation '{pi}' is not in the height-{h} class")

@@ -35,9 +35,6 @@ class Permutation:
                 raise NotAPermutation(f"duplicate value {v}", v)
             seen[v] = True
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __str__(self) -> str:
         return " ".join(map(str, self.entries))
 

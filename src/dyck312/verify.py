@@ -98,9 +98,11 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
         valley_image = {h: set() for h in heights}
         for p in dyck.enumerate_dyck(n):
             pi = bijection.path_to_perm(p)
-            if not perm_mod.avoids_312(pi) or bijection.perm_to_path(pi) != p:
+            # an image containing 312 fails both checks; lrm_heights would raise on it
+            avoids = perm_mod.avoids_312(pi)
+            if not avoids or bijection.perm_to_path(pi) != p:
                 path_bad.append(repr(p.word))
-            if bijection.lrm_heights(pi) != _down_run_trace(p):
+            if not avoids or bijection.lrm_heights(pi) != _down_run_trace(p):
                 lrm_bad.append(repr(p.word))
             top = dyck.height(p)
             for h in heights:
@@ -198,34 +200,39 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
     count_bad: list[str] = []
     for h in h_range:
         rule = eco.succession_rule(h)
-        # each node's label is computed once, as a child, and kept for it as a parent
-        level, level_labels = [dyck.EMPTY_PATH], [eco.label_of(dyck.EMPTY_PATH, h)]
-        for n in range(n_max + 1):
-            produced: list[dyck.DyckPath] = []
-            labels: list[eco.Label] = []
-            for p, p_label in zip(level, level_labels):
-                kids = eco.children(p, h)
-                produced.extend(kids)
-                if not all(dyck.in_class(c, h, 2) for c in kids):
-                    membership_bad.append(f"h={h}, parent {p.word!r}")
-                kid_labels = [eco.label_of(c, h) for c in kids]
-                labels.extend(kid_labels)
-                if Counter(kid_labels) != Counter(rule.productions[p_label]):
-                    label_bad.append(f"h={h}, parent {p.word!r}")
-                mapped = [bijection.path_to_perm(c) for c in kids]
-                if mapped != eco.perm_children(bijection.path_to_perm(p), h):
-                    commute_bad.append(f"h={h}, parent {p.word!r}")
-            if len(produced) != len(set(produced)):
-                cover_bad.append(f"h={h}, level {n + 1} has duplicates")
+        # grow()'s tree, a level at a time; each child is tested and mapped once, and
+        # is grown only if it is a member
+        level = [("", rule.axiom, perm_mod.Permutation(()))]
+        for n in range(1, n_max + 2):
+            members = []
+            for word, label, image in level:
+                kids = [(w, k, bijection.path_to_perm(dyck.DyckPath(w))) for w, k in eco.grow(word, h)]
+                grown = [kid for kid in kids if dyck.in_class(dyck.DyckPath(kid[0]), h, 2)]
+                members.extend(grown)
+                if len(grown) < len(kids):
+                    membership_bad.append(f"h={h}, parent {word!r}")
+                if Counter(k for _, k, _ in kids) != Counter(rule.productions.get(label, ())):
+                    label_bad.append(f"h={h}, parent {word!r}")
+                try:
+                    commutes = [pi for _, _, pi in kids] == eco.perm_children(image, h) and all(
+                        eco.perm_label(pi, h) == k for _, k, pi in kids
+                    )
+                except eco.NotInClass:
+                    commutes = False
+                if not commutes:
+                    commute_bad.append(f"h={h}, parent {word!r}")
+            words = [w for w, _, _ in members]
+            if len(words) != len(set(words)):
+                cover_bad.append(f"h={h}, level {n} has duplicates")
             expected = {
-                p for p in dyck.enumerate_dyck(n + 1) if dyck.in_class(p, h, 2)
+                p.word for p in dyck.enumerate_dyck(n) if dyck.in_class(p, h, 2)
             }
-            if set(produced) != expected:
-                cover_bad.append(f"h={h}, level {n + 1} misses members")
-            total, per_label = eco.symbolic_counts(rule, n + 1)
-            if total != len(produced) or per_label != dict(Counter(labels)):
-                count_bad.append(f"h={h}, level {n + 1}")
-            level, level_labels = produced, labels
+            if set(words) != expected:
+                cover_bad.append(f"h={h}, level {n} misses members")
+            total, per_label = eco.symbolic_counts(rule, n)
+            if total != len(members) or per_label != dict(Counter(k for _, k, _ in members)):
+                count_bad.append(f"h={h}, level {n}")
+            level = members
 
     covered = f"h in {list(h_range)}, n<={n_max}"
     return [

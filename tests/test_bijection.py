@@ -14,7 +14,7 @@ class TestPathToPerm:
         assert bijection.path_to_perm(DyckPath("UD")) == Permutation((1,))
         assert bijection.path_to_perm(DyckPath("UUDUDD")) == Permutation((2, 3, 1))
         assert bijection.path_to_perm(DyckPath("UUUDUDDD")) == Permutation((3, 4, 2, 1))
-        assert bijection.path_to_perm(dyck.EMPTY_PATH) == Permutation(())
+        assert bijection.path_to_perm(DyckPath("")) == Permutation(())
 
     @given(dyck_words())
     def test_image_avoids_312(self, word):
@@ -30,7 +30,7 @@ class TestPermToPath:
     def test_examples(self):
         assert bijection.perm_to_path(Permutation((1,))) == DyckPath("UD")
         assert bijection.perm_to_path(Permutation((2, 3, 1))) == DyckPath("UUDUDD")
-        assert bijection.perm_to_path(Permutation(())) == dyck.EMPTY_PATH
+        assert bijection.perm_to_path(Permutation(())) == DyckPath("")
 
     def test_rejects_pattern(self):
         with pytest.raises(Not312Avoiding):

@@ -85,6 +85,14 @@ class TestCount:
         assert code == 2
         assert "cap" in err
 
+    def test_brute_past_cap_enumerates_nothing(self, capsys, monkeypatch):
+        # the cap is checked for --n-max before any smaller size is enumerated
+        calls = []
+        monkeypatch.setattr(dyck, "enumerate_dyck", lambda n, cap=dyck.DEFAULT_CAP: calls.append(n) or [])
+        code, out, err = run(capsys, "count", "--h", "3", "--n-max", "15", "--method", "brute")
+        assert (code, out, err) == (2, "", "error: semilength 15 exceeds cap 14\n")
+        assert calls == []
+
     def test_large_n_polynomial_methods(self, capsys):
         code, out, _ = run(capsys, "count", "--h", "4", "--n-max", "300", "--method", "recurrence")
         assert code == 0
@@ -191,6 +199,26 @@ class TestList:
         code, _, _ = run(capsys, "list", "--h", "2", "--n", "2")
         assert code == 2
 
+    def test_streams(self, capsys):
+        # level 12 alone is 208,012 rows, about 37 MB as a list; the walk holds one path
+        tracemalloc.start()
+        try:
+            code = main(["list", "--h", "12", "--n", "12", "--format", "csv", "--out", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_cap_writes_nothing(self, capsys, tmp_path, fmt):
+        # the cap is checked before the first line, the CSV header included, is made
+        argv = ["list", "--h", "3", "--n", "5", "--cap", "4", "--format", fmt]
+        error = "error: level 5 exceeds tree cap 4\n"
+        assert run(capsys, *argv) == (2, "", error)
+        assert run(capsys, *argv, "--out", str(tmp_path / "F")) == (2, "", error)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMap:
     def feed(self, monkeypatch, text):
@@ -263,14 +291,14 @@ class TestTree:
         # 1 + 1 + 2 + 5 nodes in the first four levels
         assert count(doc["root"]) == 9
 
-    def test_json_levels_match_generate_level(self, capsys):
+    def test_json_levels_match_iter_levels(self, capsys):
         # depth 5 reaches nodes whose initial run equals h, which grow only h-1 children
         for h in (3, 4):
             code, out, _ = run(capsys, "tree", "--h", str(h), "--depth", "5", "--format", "json")
             assert code == 0
             level = [json.loads(out)["root"]]
-            for d in range(6):
-                assert [(node["object"], node["label"]) for node in level] == eco.generate_level(h, d)
+            for expected in eco.iter_levels(h, 5):
+                assert [(node["object"], node["label"]) for node in level] == expected
                 level = [c for node in level for c in node["children"]]
             assert level == []
 

@@ -25,12 +25,11 @@ def valley_heights(word: str) -> set[int]:
 
 class TestParse:
     def test_empty(self):
-        assert dyck.parse_path("") == dyck.EMPTY_PATH
-        assert dyck.EMPTY_PATH.semilength == 0
+        assert dyck.parse_path("") == DyckPath("")
 
     def test_simple(self):
         p = dyck.parse_path("UUDUDD")
-        assert p.semilength == 3
+        assert p.word == "UUDUDD"
 
     def test_negative_prefix(self):
         with pytest.raises(NegativePrefix) as exc:
@@ -61,7 +60,7 @@ class TestParse:
 
 class TestHeight:
     def test_empty(self):
-        assert dyck.height(dyck.EMPTY_PATH) == 0
+        assert dyck.height(DyckPath("")) == 0
 
     def test_examples(self):
         assert dyck.height(DyckPath("UUDUDD")) == 2
@@ -70,15 +69,15 @@ class TestHeight:
     @given(dyck_words())
     def test_bounded_by_semilength(self, word):
         p = DyckPath(word)
-        assert 0 <= dyck.height(p) <= p.semilength
+        assert 0 <= dyck.height(p) <= len(p.word) // 2
 
 
 class TestInClass:
     def test_examples(self):
         assert not dyck.in_class(DyckPath("UUUDUDDD"), 3, 2)
         assert dyck.in_class(DyckPath("UUUDDD"), 3, 2)
-        assert dyck.in_class(dyck.EMPTY_PATH, 1, 2)
-        assert dyck.in_class(dyck.EMPTY_PATH, 7, 5)
+        assert dyck.in_class(DyckPath(""), 1, 2)
+        assert dyck.in_class(DyckPath(""), 7, 5)
 
     def test_consecutive_valley_runs(self):
         assert not dyck.in_class(DyckPath("UDUD"), 1, 2)
@@ -91,9 +90,9 @@ class TestInClass:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dyck.in_class(dyck.EMPTY_PATH, 0, 2)
+            dyck.in_class(DyckPath(""), 0, 2)
         with pytest.raises(ValueError):
-            dyck.in_class(dyck.EMPTY_PATH, 3, 1)
+            dyck.in_class(DyckPath(""), 3, 1)
 
     @given(dyck_words(), st.integers(1, 10), st.integers(2, 5))
     def test_monotone_in_k(self, word, h, k):
@@ -104,7 +103,7 @@ class TestInClass:
     @given(dyck_words())
     def test_tall_bound_always_in(self, word):
         p = DyckPath(word)
-        assert dyck.in_class(p, p.semilength + 1, 2)
+        assert dyck.in_class(p, len(p.word) // 2 + 1, 2)
 
     @given(dyck_words(), st.integers(1, 10))
     def test_matches_definition(self, word, h):
@@ -115,7 +114,7 @@ class TestInClass:
 
 class TestEnumerate:
     def test_base(self):
-        assert dyck.enumerate_dyck(0) == [dyck.EMPTY_PATH]
+        assert dyck.enumerate_dyck(0) == [DyckPath("")]
         assert len(dyck.enumerate_dyck(3)) == 5
 
     def test_matches_catalan(self, paths_by_n):

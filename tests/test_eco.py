@@ -10,7 +10,7 @@ from dyck312.perm import Permutation
 
 class TestChildren:
     def test_axiom(self):
-        assert [c.word for c in eco.children(dyck.EMPTY_PATH, 3)] == ["UD"]
+        assert [c.word for c in eco.children(DyckPath(""), 3)] == ["UD"]
 
     def test_short_run(self):
         assert [c.word for c in eco.children(DyckPath("UD"), 3)] == ["UDUD", "UUDD"]
@@ -33,7 +33,7 @@ class TestChildren:
         with pytest.raises(NotInClass):
             eco.children(DyckPath("UUUDUDDD"), 3)
         with pytest.raises(ValueError):
-            eco.children(dyck.EMPTY_PATH, 2)
+            eco.children(DyckPath(""), 2)
 
     def test_children_are_members(self):
         for n in range(7):
@@ -42,13 +42,13 @@ class TestChildren:
                     if not dyck.in_class(p, h, 2):
                         continue
                     for c in eco.children(p, h):
-                        assert c.semilength == n + 1
+                        assert len(c.word) == 2 * n + 2
                         assert dyck.in_class(c, h, 2)
 
 
 class TestLabelOf:
     def test_examples(self):
-        assert eco.label_of(dyck.EMPTY_PATH, 3) == 1
+        assert eco.label_of(DyckPath(""), 3) == 1
         assert eco.label_of(DyckPath("UUDD"), 3) == 3
         assert eco.label_of(DyckPath("UUUDDD"), 3) == 2
 
@@ -111,14 +111,16 @@ class TestSymbolicCounts:
 
 
 class TestGenerateLevel:
+    """Levels of the generating tree, as the breadth-first iter_levels yields them."""
+
     def test_level_zero(self):
-        assert eco.generate_level(3, 0) == [("", 1)]
+        assert list(eco.iter_levels(3, 0)) == [[("", 1)]]
 
     def test_level_two(self):
-        assert eco.generate_level(3, 2) == [("UDUD", 2), ("UUDD", 3)]
+        assert list(eco.iter_levels(3, 2))[2] == [("UDUD", 2), ("UUDD", 3)]
 
     def test_level_four_count(self):
-        assert len(eco.generate_level(3, 4)) == 12
+        assert len(list(eco.iter_levels(3, 4))[4]) == 12
 
     def test_levels_match_children_and_labels(self):
         for h in (3, 4):
@@ -135,7 +137,7 @@ class TestGenerateLevel:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            eco.generate_level(3, 5, cap=4)
+            next(eco.iter_levels(3, 5, cap=4))
 
     def test_disjoint_and_complete(self):
         for h in (3, 4, 5):
@@ -161,8 +163,8 @@ class TestGenerateLevel:
 
     def test_per_label_counts_match_initial_run_statistic(self):
         for h in (3, 4):
-            for n in range(8):
-                by_label = Counter(label for _, label in eco.generate_level(h, n))
+            for n, level in enumerate(eco.iter_levels(h, 7)):
+                by_label = Counter(label for _, label in level)
                 _, symbolic = eco.symbolic_counts(eco.succession_rule(h), n)
                 assert dict(by_label) == symbolic
 
@@ -171,8 +173,8 @@ class TestWalk:
     def test_levels_in_walk_order(self):
         for h in range(3, 8):
             nodes = list(eco.walk(h, 9))
-            for n in range(10):
-                assert [node for node in nodes if len(node[0]) == 2 * n] == eco.generate_level(h, n)
+            for n, level in enumerate(eco.iter_levels(h, 9)):
+                assert [node for node in nodes if len(node[0]) == 2 * n] == level
 
     def test_depth_first(self):
         assert list(eco.walk(3, 2)) == [("", 1), ("UD", 2), ("UDUD", 2), ("UUDD", 3)]
@@ -188,8 +190,10 @@ class TestWalk:
         ],
     )
     def test_errors(self, h, depth, cap, error, message):
+        # raised at the call, before a node is asked for, so a caller can check
+        # its arguments before it writes any output
         with pytest.raises(error) as info:
-            next(eco.walk(h, depth, cap=cap))
+            eco.walk(h, depth, cap=cap)
         assert str(info.value) == message
 
 

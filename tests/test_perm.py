@@ -95,7 +95,7 @@ class TestLeftToRightMaxima:
     def test_first_entry_is_maximum(self, t):
         pi = Permutation(t)
         maxima = perm.left_to_right_maxima(pi)
-        if len(pi):
+        if pi.entries:
             assert maxima[0] == LrMaximum(1, pi.entries[0])
         values = [m.value for m in maxima]
         assert values == sorted(values)

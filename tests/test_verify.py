@@ -1,16 +1,31 @@
-"""verify's failure reporting: with one piece of the bijection broken, each
-check must fail on the same first case and leave the others passing."""
+"""verify's failure reporting: with one piece of the bijection or of the
+generating tree broken, each check must fail on the same first case and leave
+the others passing, and report it as a failure rather than raise."""
 
 import pytest
 
-from dyck312 import bijection, perm, verify
+from dyck312 import bijection, dyck, eco, perm, verify
+from dyck312.cli import main
 from dyck312.dyck import DyckPath
+from dyck312.perm import Permutation
+
+_in_class = dyck.in_class
+_path_to_perm = bijection.path_to_perm
+_grow = eco.grow
+_label = eco._label
+_perm_children = eco.perm_children
+
+
+def _image_312(p):
+    """path_to_perm, with UUUDDD sent to 3 1 2, which contains 312 and is outside every class."""
+    return Permutation((3, 1, 2)) if p.word == "UUUDDD" else _path_to_perm(p)
+
 
 # (module, attribute, replacement) per scenario, with the checks that fail and
 # the first failure each reports
 BREAKS = {
     "wrong-perm-to-path": (
-        [(bijection, "perm_to_path", lambda pi: DyckPath("UD" * len(pi)))],
+        [(bijection, "perm_to_path", lambda pi: DyckPath("UD" * len(pi.entries)))],
         {
             "path-round-trip": "first failure: 'UUDD'",
             "perm-round-trip": "first failure: 2 1",
@@ -32,6 +47,17 @@ BREAKS = {
         [(perm, "in_class", perm.in_height_class)],
         {"image-characterizations": "first failure: n=2, h=1"},
     ),
+    "image-contains-312": (
+        [
+            (bijection, "path_to_perm", _image_312)
+        ],
+        {
+            "path-round-trip": "first failure: 'UUUDDD'",
+            "perm-round-trip": "first failure: 3 2 1",
+            "lrm-excess-heights": "first failure: 'UUUDDD'",
+            "image-characterizations": "first failure: n=3, h=3",
+        },
+    ),
 }
 
 
@@ -49,3 +75,82 @@ def test_broken_bijection_reports_first_failure(monkeypatch, name):
         "image-characterizations",
     ]
     assert {r.name: r.detail for r in results if not r.passed} == failures
+
+
+def _grow_non_member(word, h):
+    """grow(), with each child whose initial run reaches h lifted one level, out of the class."""
+    return [("U" + w + "D" if w.startswith("U" * h) else w, k) for w, k in _grow(word, h)]
+
+
+# the same, for the tree that eco.grow makes and the permutation side of it
+ECO_BREAKS = {
+    "grow-non-member": (
+        [(eco, "grow", _grow_non_member)],
+        {
+            "eco-children-in-class": "first failure: h=3, parent 'UUDD'",
+            "eco-disjoint-and-complete": "first failure: h=3, level 3 misses members",
+            "eco-perm-commutation": "first failure: h=3, parent 'UUDD'",
+            "eco-symbolic-agreement": "first failure: h=3, level 3",
+        },
+    ),
+    "label-off-by-one": (
+        # a run of h-1 ups labelled h+1, a label the rule does not have
+        [(eco, "_label", lambda run, h: _label(run, h) + (run == h - 1))],
+        {
+            "eco-label-coherence": "first failure: h=3, parent 'UD'",
+            "eco-symbolic-agreement": "first failure: h=3, level 2",
+        },
+    ),
+    "perm-children-reversed": (
+        [(eco, "perm_children", lambda pi, h: _perm_children(pi, h)[::-1])],
+        {"eco-perm-commutation": "first failure: h=3, parent 'UD'"},
+    ),
+    "image-outside-class": (
+        # UUUDDD is grown, and perm_children raises on its image
+        [(bijection, "path_to_perm", _image_312)],
+        {"eco-perm-commutation": "first failure: h=3, parent 'UUDD'"},
+    ),
+    "perm-label-uncapped": (
+        # first entry + 1 even when the first entry is h, where the label is h-1
+        [(eco, "perm_label", lambda pi, h: pi.entries[0] + 1 if pi.entries else 1)],
+        {"eco-perm-commutation": "first failure: h=3, parent 'UUDD'"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ECO_BREAKS)
+def test_broken_tree_reports_first_failure(monkeypatch, name):
+    patches, failures = ECO_BREAKS[name]
+    for module, attr, replacement in patches:
+        monkeypatch.setattr(module, attr, replacement)
+    results = verify.run("eco", verify.VerifyBounds(n_max=6))
+    assert [r.name for r in results] == [
+        "eco-children-in-class",
+        "eco-disjoint-and-complete",
+        "eco-label-coherence",
+        "eco-perm-commutation",
+        "eco-symbolic-agreement",
+    ]
+    assert {r.name: r.detail for r in results if not r.passed} == failures
+
+
+def test_broken_tree_fails_the_command(monkeypatch, capsys):
+    monkeypatch.setattr(eco, "grow", _grow_non_member)
+    assert main(["verify", "--scope", "eco"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL eco-children-in-class (first failure: h=3, parent 'UUDD')" in out.splitlines()
+    assert err == ""
+
+
+def test_eco_scope_tests_each_path_once(monkeypatch):
+    # one membership test per tree child and one per enumerated path for the cover check
+    calls = []
+    monkeypatch.setattr(dyck, "in_class", lambda p, h, k=2: calls.append(p) or _in_class(p, h, k))
+    bounds = verify.VerifyBounds()
+    assert all(r.passed for r in verify.run("eco", bounds))
+    levels = range(1, bounds.n_max + 2)
+    children = sum(
+        eco.symbolic_counts(eco.succession_rule(h), n)[0] for h in range(3, bounds.h_max + 1) for n in levels
+    )
+    enumerated = (bounds.h_max - 2) * sum(dyck.catalan(n) for n in levels)
+    assert len(calls) == children + enumerated
