@@ -202,8 +202,10 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
     if args.method in ("recurrence", "series", "matrix") and n_max > LARGE_N_LIMIT:
         raise UsageError(f"--n-max above {LARGE_N_LIMIT} is not supported")
 
-    enum_cap = args.cap if args.cap is not None else dyck.DEFAULT_CAP
-    tree_cap = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
+    # method -> the largest --n-max it reaches
+    reach = dict.fromkeys(("recurrence", "series", "matrix"), LARGE_N_LIMIT)
+    reach["brute"] = args.cap if args.cap is not None else dyck.DEFAULT_CAP
+    reach["eco"] = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
 
     def compute(method: str) -> list[int]:
         if h < METHODS[method]:
@@ -219,14 +221,14 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
         if method == "matrix":
             return list(prodmat.level_totals(prodmat.production_matrix(bound), 1, n_max))
         if method == "brute":
-            dyck.require_size(n_max, enum_cap)  # before any smaller size is enumerated
-            return [dyck.count_brute(n, bound, k, cap=enum_cap) for n in range(n_max + 1)]
+            dyck.require_size(n_max, reach["brute"])  # before any smaller size is enumerated
+            return [dyck.count_brute(n, bound, k, cap=reach["brute"]) for n in range(n_max + 1)]
         # a node of semilength n sits at level n; the walk holds one path, not a level
-        sizes = Counter(len(word) // 2 for word, _ in eco.walk(bound, n_max, cap=tree_cap))
+        sizes = Counter(len(word) // 2 for word, _ in eco.walk(bound, n_max, cap=reach["eco"]))
         return [sizes[n] for n in range(n_max + 1)]
 
     if args.method == "all":
-        wanted = [m for m in METHODS if _applicable(m, h, n_max, enum_cap, tree_cap)]
+        wanted = [m for m in METHODS if METHODS[m] <= h and n_max <= reach[m]]
         if not wanted:
             raise UsageError(f"no counting method can reach --n-max {n_max}")
     else:
@@ -254,16 +256,6 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
     if args.method == "all":
         payload["methods"] = by_method
     return 0, _json_doc("count", payload)
-
-
-def _applicable(method: str, h: int, n_max: int, enum_cap: int, tree_cap: int) -> bool:
-    if h < METHODS[method]:
-        return False
-    if method == "brute":
-        return n_max <= enum_cap
-    if method == "eco":
-        return n_max <= tree_cap
-    return n_max <= LARGE_N_LIMIT
 
 
 # ---------------------------------------------------------------- list
@@ -304,7 +296,7 @@ def _cmd_list(args) -> tuple[int, Iterable[str]]:
 def _cmd_map(args) -> tuple[int, list[str]]:
     out_lines: list[str] = []
     failed = False
-    for i, raw in enumerate(sys.stdin.read().splitlines(), start=1):
+    for i, raw in enumerate(sys.stdin, start=1):  # a line ends at "\n" only, unlike splitlines
         line = raw.strip()
         direction = args.direction
         if direction == "auto":

@@ -59,9 +59,7 @@ def _coeff(h: int, j: int) -> int:
 def denominator_poly(h: int) -> tuple[int, ...]:
     """Denominator d(h) of the height-h counting series; degree ceil((h+1)/2)
     for h >= 2."""
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    return _denominators(h)[1]
+    return generating_function(h)[1]
 
 
 def denominator_coeff(h: int, j: int) -> int:

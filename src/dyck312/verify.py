@@ -16,9 +16,6 @@ from itertools import permutations as iter_permutations
 from . import bijection, dyck, eco, genfunc, prodmat
 from . import perm as perm_mod
 
-SCOPES = ("all", "bijection", "identities", "eco", "matrix")
-
-
 @dataclass(frozen=True)
 class VerifyBounds:
     n_max: int = 8          # object size for bijection/eco sweeps
@@ -60,14 +57,9 @@ def run(scope: str = "all", bounds: VerifyBounds = VerifyBounds()) -> list[Check
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
     results: list[CheckResult] = []
-    if scope in ("all", "bijection"):
-        results.extend(_bijection_checks(bounds))
-    if scope in ("all", "identities"):
-        results.extend(_identity_checks(bounds))
-    if scope in ("all", "eco"):
-        results.extend(_eco_checks(bounds))
-    if scope in ("all", "matrix"):
-        results.extend(_matrix_checks(bounds))
+    for name, checks in _CHECKS.items():
+        if scope in ("all", name):
+            results.extend(checks(bounds))
     return results
 
 
@@ -90,12 +82,7 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
     lrm_bad: list[str] = []
     image_bad: list[str] = []
     for n in range(n_max + 1):
-        # the images are collected per height bound rather than kept beside
-        # their paths: a list of (path, image) pairs would more than double
-        # the memory of a size (n_max 12: 118 MB peak against 45 MB)
-        heights = range(1, n + 2) if n <= perm_n else ()
-        height_image = {h: set() for h in heights}
-        valley_image = {h: set() for h in heights}
+        images = []  # (image, height, path), kept only where the image sets are compared
         for p in dyck.enumerate_dyck(n):
             pi = bijection.path_to_perm(p)
             # an image containing 312 fails both checks; lrm_heights would raise on it
@@ -104,12 +91,8 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
                 path_bad.append(repr(p.word))
             if not avoids or bijection.lrm_heights(pi) != _down_run_trace(p):
                 lrm_bad.append(repr(p.word))
-            top = dyck.height(p)
-            for h in heights:
-                if top <= h:
-                    height_image[h].add(pi)
-                if dyck.in_class(p, h, 2):
-                    valley_image[h].add(pi)
+            if n <= perm_n:
+                images.append((pi, dyck.height(p), p))
         if n > perm_n:
             continue
 
@@ -127,10 +110,12 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
             if bijection.path_to_perm(bijection.perm_to_path(pi)) != pi:
                 perm_bad.append(str(pi))
 
-        for h in heights:
+        for h in range(1, n + 2):
+            height_image = {pi for pi, top, _ in images if top <= h}
+            valley_image = {pi for pi, _, p in images if dyck.in_class(p, h, 2)}
             height_set = {pi for pi in avoiders if perm_mod.in_height_class(pi, h)}
             valley_set = {pi for pi in avoiders if perm_mod.in_class(pi, h)}
-            if height_image[h] != height_set or valley_image[h] != valley_set:
+            if height_image != height_set or valley_image != valley_set:
                 image_bad.append(f"n={n}, h={h}")
 
     return [
@@ -280,3 +265,12 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
     bad = [] if totals == fib else [f"{totals} != {fib}"]
     out.append(_result("fibonacci-level-counts", bad, "n<=16"))
     return out
+
+
+_CHECKS = {  # scope -> its checks, in the order verify runs and reports them
+    "bijection": _bijection_checks,
+    "identities": _identity_checks,
+    "eco": _eco_checks,
+    "matrix": _matrix_checks,
+}
+SCOPES = ("all", *_CHECKS)

@@ -67,6 +67,27 @@ class TestCount:
         expected = ",".join(str(dyck.count_brute(n, 2, 3)) for n in range(7))
         assert out.strip() == expected
 
+    # --method all runs each method whose least --h and largest --n-max admit the request
+    @pytest.mark.parametrize(
+        "argv, methods",
+        [
+            (["--h", "1", "--n-max", "4"], ["series", "brute"]),
+            (["--h", "2", "--n-max", "4"], ["recurrence", "series", "matrix", "brute"]),
+            (["--h", "3", "--n-max", "6", "--cap", "6"], list(METHODS)),
+            (["--h", "3", "--n-max", "7", "--cap", "6"], ["recurrence", "series", "matrix"]),
+            (["--h", "3", "--n-max", "15"], ["recurrence", "series", "matrix"]),
+        ],
+    )
+    def test_all_runs_the_methods_in_reach(self, capsys, argv, methods):
+        code, out, _ = run(capsys, "count", *argv, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)["methods"]) == methods
+
+    def test_all_with_no_method_in_reach(self, capsys):
+        code, out, err = run(capsys, "count", "--h", "2", "--n-max", "513")
+        assert (code, out) == (2, "")
+        assert err == "error: no counting method can reach --n-max 513\n"
+
     def test_k_requires_brute(self, capsys):
         code, _, err = run(capsys, "count", "--h", "2", "--n-max", "4", "--k", "3", "--method", "series")
         assert code == 2
@@ -262,6 +283,33 @@ class TestMap:
         code, out, err = run(capsys, "map")
         assert code == 1
         assert "line 2" in err
+
+    # every separator but "\n" at which str.splitlines ends a line
+    @pytest.mark.parametrize(
+        "sep", ["\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_ends_at_newline_only(self, capsys, monkeypatch, sep):
+        self.feed(monkeypatch, f"UD{sep}UD\nx\n")
+        code, out, err = run(capsys, "map")
+        assert (code, out) == (1, "")
+        assert err == "line 1: not an integer: 'UD'\nline 2: not an integer: 'x'\n"
+
+    def test_stdin_frames_lines_at_newline_only(self):
+        # the process's own stdin, not a StringIO: a bare \r stays inside line 1
+        cmd = [sys.executable, "-m", "dyck312", "map"]
+        proc = subprocess.run(
+            cmd, input=b"UD\rUD\nx\n", capture_output=True, env=SUBPROCESS_ENV, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"line 1: not an integer: 'UD'\nline 2: not an integer: 'x'\n"
+
+    def test_crlf_maps_like_lf(self, capsys, monkeypatch):
+        text = "UUDUDD\n1\n\n3 1 2\nUDX\n2 1\n"
+        self.feed(monkeypatch, text)
+        lf = run(capsys, "map")
+        self.feed(monkeypatch, text.replace("\n", "\r\n"))
+        assert run(capsys, "map") == lf
+        assert lf[0] == 1 and lf[1].splitlines() == ["2 3 1", "UD", "", "UUDD"]
 
 
 class TestTree:

@@ -115,6 +115,13 @@ class TestGeneratingFunction:
             assert numerator == genfunc.denominator_poly(h - 1)
             assert denominator == genfunc.denominator_poly(h)
 
+    # the sweep's one h check guards both ways into it
+    @pytest.mark.parametrize("fn", [genfunc.generating_function, genfunc.denominator_poly])
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_rejects_height_below_one(self, fn, h):
+        with pytest.raises(ValueError, match="h must be >= 1"):
+            fn(h)
+
 
 class TestSeries:
     def test_height_one(self):

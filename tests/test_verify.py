@@ -10,6 +10,7 @@ from dyck312.dyck import DyckPath
 from dyck312.perm import Permutation
 
 _in_class = dyck.in_class
+_height = dyck.height
 _path_to_perm = bijection.path_to_perm
 _grow = eco.grow
 _label = eco._label
@@ -46,6 +47,11 @@ BREAKS = {
     "valleys-ignored": (
         [(perm, "in_class", perm.in_height_class)],
         {"image-characterizations": "first failure: n=2, h=1"},
+    ),
+    "height-off-by-one": (
+        # the height half of the image check alone: UD counts as height 2
+        [(dyck, "height", lambda p: _height(p) + 1)],
+        {"image-characterizations": "first failure: n=1, h=1"},
     ),
     "image-contains-312": (
         [
