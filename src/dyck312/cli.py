@@ -126,7 +126,8 @@ def _output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write each line, ended by a newline, to stdout or to --out; zero lines write nothing."""
+    """Write each item, one or more whole lines, ended by a newline, to stdout or
+    to --out; zero items write nothing."""
     lines = iter(lines)
     first = next(lines, None)
     if first is None:
@@ -177,6 +178,12 @@ def _json_doc(command: str, payload: dict) -> Iterator[str]:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
     yield json.dumps(doc, indent=2)
+
+
+def _json_head(command: str, payload: dict, key: str) -> str:
+    """The start of _json_doc's document for payload plus key, through
+    '"key": ': key is the last key, and its value is written as it is made."""
+    return next(_json_doc(command, payload))[:-2] + f',\n  "{key}": '
 
 
 def _grid(rows: Iterable[Sequence], fmt: str) -> Iterable[str]:
@@ -281,13 +288,18 @@ def _cmd_list(args) -> tuple[int, Iterable[str]]:
         return 0, (f"({label}) {text}".rstrip() for text, label in rows)
     if args.format == "csv":
         return 0, _grid(itertools.chain((("object", "label"),), rows), "csv")
-    payload = {
-        "h": args.h,
-        "n": args.n,
-        "kind": args.kind,
-        "objects": [{"object": text, "label": label} for text, label in rows],
-    }
-    return 0, _json_doc("list", payload)
+    head = _json_head("list", {"h": args.h, "n": args.n, "kind": args.kind}, "objects")
+    return 0, _list_json(head, rows)
+
+
+def _list_json(head: str, rows: Iterable[tuple[str, int]]) -> Iterator[str]:
+    """The objects array, one object per item, laid out as json.dumps(indent=2)
+    lays it out; each item closes the object before it, so no row is held."""
+    before = head + "["  # a level is never empty: every label has a child
+    for text, label in rows:
+        yield f'{before}\n    {{\n      "object": {json.dumps(text)},\n      "label": {label}'
+        before = "    },"
+    yield "    }\n  ]\n}"
 
 
 # ---------------------------------------------------------------- map
@@ -328,15 +340,39 @@ def _cmd_tree(args) -> tuple[int, Iterable[str]]:
 
     if args.format == "text":
         return 0, (("  " * depth + f"({label}) {text}").rstrip() for depth, text, label in walk)
-    chain: list[dict] = []  # the nodes from the root to the last one walked
+    head = _json_head("tree", {"h": args.h, "depth": args.depth, "kind": args.kind}, "root")
+    return 0, _tree_json(head, walk)
+
+
+def _tree_json(head: str, walk: Iterable[tuple[int, str, int]]) -> Iterator[str]:
+    """The root node, laid out as json.dumps(indent=2) lays it out, one item per
+    node in walk order. A node's children key is written when the next node
+    shows whether it has children, so only the last node's depth is held."""
+    last = -1  # depth of the node written last; its children key is not written yet
     for depth, text, label in walk:
-        node = {"label": label, "object": text, "children": []}
-        del chain[depth:]
-        if chain:
-            chain[-1]["children"].append(node)
-        chain.append(node)
-    payload = {"h": args.h, "depth": args.depth, "kind": args.kind, "root": chain[0]}
-    return 0, _json_doc("tree", payload)
+        pad = " " * (4 * depth)
+        if last < 0:
+            lines = [head + "{"]  # the root opens on the "root" line
+        elif depth > last:  # the first child of the node before
+            lines = [f'{pad}"children": [', f"{pad}  {{"]
+        else:
+            lines = _close_nodes(last, depth)
+            lines[-1] += ","
+            lines.append(f"{pad}  {{")
+        lines += [f'{pad}    "label": {label},', f'{pad}    "object": {json.dumps(text)},']
+        yield "\n".join(lines)
+        last = depth
+    yield "\n".join([*_close_nodes(last, 0), "}"])
+
+
+def _close_nodes(last: int, depth: int) -> list[str]:
+    """Lines that end the node at depth last, a leaf, then its ancestors down to depth."""
+    pad = " " * (4 * last)
+    lines = [f'{pad}    "children": []', f"{pad}  }}"]
+    for d in range(last - 1, depth - 1, -1):
+        pad = " " * (4 * d)
+        lines += [f"{pad}    ]", f"{pad}  }}"]
+    return lines
 
 
 # ---------------------------------------------------------------- matrix

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 DEFAULT_CAP = 14  # exhaustive-enumeration bound; semilength 14 is ~2.7M paths
 
@@ -134,26 +135,43 @@ def require_size(n: int, cap: int = DEFAULT_CAP) -> None:
         raise CapExceeded(f"semilength {n} exceeds cap {cap}")
 
 
-def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
-    """All paths of semilength n, in lexicographic word order ('D' < 'U').
+@dataclass(frozen=True, slots=True)
+class DyckPaths:
+    """The paths of semilength n, in lexicographic word order ('D' < 'U'):
+    a sized view that makes each path as it is iterated, so an iteration
+    holds the first halves and never the words.
 
     Each word is a first half of n steps ending at some level l, then a way
     down from l in n steps. A way down, reversed with U and D swapped, is a
     first half ending at l, so the first halves, listed once, give both.
     """
+
+    n: int
+
+    def __len__(self) -> int:
+        return catalan(self.n)
+
+    def __iter__(self) -> Iterator[DyckPath]:
+        heads = [("", 0)]  # (first half, its end level), kept in lexicographic order
+        for _ in range(self.n):
+            heads = [(w + c, l + d) for w, l in heads for c, d in (("D", -1), ("U", 1)) if l + d >= 0]
+        mirror = str.maketrans("UD", "DU")
+        tails: dict[int, list[str]] = {}
+        for w, l in heads:
+            tails.setdefault(l, []).append(w[::-1].translate(mirror))
+        for ways in tails.values():
+            ways.sort()
+        for head, l in heads:
+            for tail in tails[l]:
+                yield DyckPath(head + tail)
+
+
+def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> DyckPaths:
+    """All paths of semilength n, as a DyckPaths view; the size is checked here."""
     require_size(n, cap)
-    heads = [("", 0)]  # (first half, its end level), kept in lexicographic order
-    for _ in range(n):
-        heads = [(w + c, l + d) for w, l in heads for c, d in (("D", -1), ("U", 1)) if l + d >= 0]
-    mirror = str.maketrans("UD", "DU")
-    tails: dict[int, list[str]] = {}
-    for w, l in heads:
-        tails.setdefault(l, []).append(w[::-1].translate(mirror))
-    for ways in tails.values():
-        ways.sort()
-    return [DyckPath(head + tail) for head, l in heads for tail in tails[l]]
+    return DyckPaths(n)
 
 
 def count_brute(n: int, h: int, k: int = 2, cap: int = DEFAULT_CAP) -> int:
-    """Oracle count: filter the full enumeration through in_class."""
+    """Oracle count: filter the full enumeration through in_class, one word at a time."""
     return sum(1 for p in enumerate_dyck(n, cap=cap) if in_class(p, h, k))

@@ -7,8 +7,8 @@ from dyck312 import dyck, perm
 
 @pytest.fixture(scope="session")
 def paths_by_n():
-    """All Dyck paths of semilength 0..10, keyed by semilength."""
-    return {n: dyck.enumerate_dyck(n) for n in range(11)}
+    """All Dyck paths of semilength 0..10, keyed by semilength, as lists."""
+    return {n: list(dyck.enumerate_dyck(n)) for n in range(11)}
 
 
 @pytest.fixture(scope="session")

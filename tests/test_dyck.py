@@ -114,14 +114,23 @@ class TestInClass:
 
 class TestEnumerate:
     def test_base(self):
-        assert dyck.enumerate_dyck(0) == [DyckPath("")]
-        assert len(dyck.enumerate_dyck(3)) == 5
+        assert list(dyck.enumerate_dyck(0)) == [DyckPath("")]
+        assert sum(1 for _ in dyck.enumerate_dyck(3)) == 5
 
     def test_matches_catalan(self, paths_by_n):
+        # counted by iterating: len() of the view states C_n without making a path
         for n, paths in paths_by_n.items():
             assert len(paths) == dyck.catalan(n)
         for n in (11, 12):
-            assert len(dyck.enumerate_dyck(n)) == dyck.catalan(n)
+            assert sum(1 for _ in dyck.enumerate_dyck(n)) == dyck.catalan(n)
+
+    def test_view_is_sized_and_iterates_again(self, paths_by_n):
+        for n in (0, 1, 7):
+            view = dyck.enumerate_dyck(n)
+            assert len(view) == len(paths_by_n[n])
+            assert list(view) == list(view) == paths_by_n[n]
+            with pytest.raises(AttributeError):
+                view.n = n + 1
 
     def test_lexicographic(self, paths_by_n):
         for paths in paths_by_n.values():

@@ -1,11 +1,12 @@
-"""The single-scan primitives and the two-halves enumeration against the
-formulations they replaced.
+"""The single-scan primitives, the two-halves enumeration and the streamed
+list and tree JSON writers against the formulations they replaced.
 
 Each reference below is the earlier version of a function, kept verbatim as
 an oracle: the rewrite must give the same answer, or raise the same exception
 class with the same index and message.
 """
 
+import json
 import re
 from itertools import permutations
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyck312 import bijection, dyck, perm
+from dyck312 import bijection, cli, dyck, eco, perm
 from dyck312.bijection import Not312Avoiding
 from dyck312.dyck import DEFAULT_CAP, CapExceeded, DyckPath, InvalidCharacter, NegativePrefix, Unbalanced
 from dyck312.perm import NotAPermutation, Permutation, left_to_right_maxima
@@ -169,10 +170,61 @@ def test_parse_perm_past_the_digit_limit():
 
 def test_enumerate_dyck_same_words_in_the_same_order():
     for n in range(13):
-        assert dyck.enumerate_dyck(n) == ref_enumerate_dyck(n), n
+        assert list(dyck.enumerate_dyck(n)) == ref_enumerate_dyck(n), n
 
 
 @pytest.mark.parametrize("n, cap", [(-1, DEFAULT_CAP), (DEFAULT_CAP + 1, DEFAULT_CAP), (5, 4), (0, -1)])
 def test_enumerate_dyck_errors(n, cap):
     assert outcome(dyck.enumerate_dyck, n, cap) == outcome(ref_enumerate_dyck, n, cap)
     assert isinstance(outcome(dyck.enumerate_dyck, n, cap), tuple)
+
+
+def ref_list_json(h: int, n: int, kind: str) -> str:
+    """The list document built whole, then dumped: level n from the breadth-first levels."""
+    *_, level = eco.iter_levels(h, n, cap=n)
+    objects = [{"object": cli._render(word, kind), "label": label} for word, label in level]
+    doc = {"schema_version": 1, "command": "list", "h": h, "n": n, "kind": kind, "objects": objects}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def ref_tree_json(h: int, depth: int, kind: str) -> str:
+    """The tree document built whole, then dumped: each node's children from grow."""
+
+    def node(word: str, label: int) -> dict:
+        kids = eco.grow(word, h) if len(word) < 2 * depth else []
+        return {"label": label, "object": cli._render(word, kind), "children": [node(*k) for k in kids]}
+
+    doc = {"schema_version": 1, "command": "tree", "h": h, "depth": depth, "kind": kind, "root": node("", 1)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def streamed(capsys, tmp_path, *argv):
+    """The document a command writes to stdout; the one it writes to --out must be the same."""
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "doc.json"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert path.read_text() == out
+    return out
+
+
+@pytest.mark.parametrize("kind", ["paths", "perms"])
+@pytest.mark.parametrize("h", range(3, 8))
+def test_streamed_list_json(capsys, tmp_path, h, kind):
+    for n in range(10):
+        argv = ["list", "--h", str(h), "--n", str(n), "--kind", kind, "--format", "json"]
+        assert streamed(capsys, tmp_path, *argv) == ref_list_json(h, n, kind), n
+
+
+@pytest.mark.parametrize("kind", ["paths", "perms"])
+@pytest.mark.parametrize("h", range(3, 8))
+def test_streamed_tree_json(capsys, tmp_path, h, kind):
+    for depth in range(10):
+        argv = ["tree", "--h", str(h), "--depth", str(depth), "--kind", kind, "--format", "json"]
+        assert streamed(capsys, tmp_path, *argv) == ref_tree_json(h, depth, kind), depth
+
+
+def test_streamed_list_json_past_the_default_cap(capsys, tmp_path):
+    n = eco.DEFAULT_TREE_CAP + 1
+    argv = ["list", "--h", "3", "--n", str(n), "--cap", str(n), "--format", "json"]
+    assert streamed(capsys, tmp_path, *argv) == ref_list_json(3, n, "paths")
