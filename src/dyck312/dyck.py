@@ -95,28 +95,32 @@ def in_class(p: DyckPath, h: int, k: int = 2) -> bool:
 
     Adjacent means a contiguous DUDU... factor (whose valleys necessarily sit
     at one common height). For k=2 this forbids any valley at height h-1.
+
+    One forward scan: an up step right after a down step that lands at h-1 is
+    a valley at h-1 and extends the chain; any other up step breaks it.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    w = p.word
-    last = len(w) - 1
     level = 0
-    run = 0
-    run_end = -1  # word index where the current valley chain would continue
-    for i, c in enumerate(w):
-        if c == "U":
+    run = 0  # valleys in the current chain at h-1
+    landed = False  # the last step was a down step ending at h-1
+    for c in p.word:
+        if c == "D":
+            level -= 1
+            landed = level == h - 1
+        elif landed:  # climbs back to h, so it cannot exceed it
+            run += 1
+            if run >= k - 1:
+                return False
+            level += 1
+            landed = False
+        else:
+            run = 0
             level += 1
             if level > h:
                 return False
-        else:
-            level -= 1
-            if level == h - 1 and i < last and w[i + 1] == "U":
-                run = run + 1 if i == run_end else 1
-                if run >= k - 1:
-                    return False
-                run_end = i + 2
     return True
 
 

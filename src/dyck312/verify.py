@@ -175,6 +175,12 @@ def _identity_checks(bounds: VerifyBounds) -> list[CheckResult]:
 
 
 def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
+    """grow()'s tree, a level at a time. A level holds the (word, label) pairs
+    grow() returned for its members, nothing else: a parent's image is made
+    when it is grown, and its children's images only for the commutation
+    check. Each child is tested once and grown only if it is a member; the
+    cover check streams the level's brute-force members past one set of its
+    words."""
     n_max = min(bounds.n_max, 9)
     h_range = range(3, max(3, bounds.h_max) + 1)
 
@@ -185,39 +191,42 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
     count_bad: list[str] = []
     for h in h_range:
         rule = eco.succession_rule(h)
-        # grow()'s tree, a level at a time; each child is tested and mapped once, and
-        # is grown only if it is a member
-        level = [("", rule.axiom, perm_mod.Permutation(()))]
+        level = [("", rule.axiom)]
         for n in range(1, n_max + 2):
             members = []
-            for word, label, image in level:
-                kids = [(w, k, bijection.path_to_perm(dyck.DyckPath(w))) for w, k in eco.grow(word, h)]
-                grown = [kid for kid in kids if dyck.in_class(dyck.DyckPath(kid[0]), h, 2)]
+            for word, label in level:
+                kids = eco.grow(word, h)
+                paths = [dyck.DyckPath(w) for w, _ in kids]
+                grown = [kid for kid, p in zip(kids, paths) if dyck.in_class(p, h, 2)]
                 members.extend(grown)
                 if len(grown) < len(kids):
                     membership_bad.append(f"h={h}, parent {word!r}")
-                if Counter(k for _, k, _ in kids) != Counter(rule.productions.get(label, ())):
+                if sorted(k for _, k in kids) != sorted(rule.productions.get(label, ())):
                     label_bad.append(f"h={h}, parent {word!r}")
+                image = bijection.path_to_perm(dyck.DyckPath(word))
+                images = [bijection.path_to_perm(p) for p in paths]
                 try:
-                    commutes = [pi for _, _, pi in kids] == eco.perm_children(image, h) and all(
-                        eco.perm_label(pi, h) == k for _, k, pi in kids
+                    commutes = images == eco.perm_children(image, h) and all(
+                        eco.perm_label(pi, h) == k for pi, (_, k) in zip(images, kids)
                     )
                 except eco.NotInClass:
                     commutes = False
                 if not commutes:
                     commute_bad.append(f"h={h}, parent {word!r}")
-            words = [w for w, _, _ in members]
-            if len(words) != len(set(words)):
+            level = members  # the parents are dropped before the level's checks
+            words = {w for w, _ in level}
+            if len(words) != len(level):
                 cover_bad.append(f"h={h}, level {n} has duplicates")
-            expected = {
-                p.word for p in dyck.enumerate_dyck(n) if dyck.in_class(p, h, 2)
-            }
-            if set(words) != expected:
+            size = found = 0  # the class members of size n, and those the level holds
+            for p in dyck.enumerate_dyck(n):
+                if dyck.in_class(p, h, 2):
+                    size += 1
+                    found += p.word in words
+            if not found == size == len(words):
                 cover_bad.append(f"h={h}, level {n} misses members")
             total, per_label = eco.symbolic_counts(rule, n)
-            if total != len(members) or per_label != dict(Counter(k for _, k, _ in members)):
+            if total != len(level) or per_label != dict(Counter(k for _, k in level)):
                 count_bad.append(f"h={h}, level {n}")
-            level = members
 
     covered = f"h in {list(h_range)}, n<={n_max}"
     return [

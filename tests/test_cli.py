@@ -448,6 +448,16 @@ class TestVerify:
         assert doc["passed"] is True
         assert all(r["passed"] for r in doc["results"])
 
+    def test_eco_scope_holds_words_and_labels(self):
+        # holding a level of (word, label, image) triples and the brute-force set of
+        # its words, the eco scope peaked at 2.2-2.3 MB traced; holding each level's
+        # words and labels only, it measured 1.0-1.1 MB. The first run is discarded: it
+        # fills the interpreter's tuple free lists, which tracemalloc counts (+0.6 MB)
+        assert traced_peak("verify", "--scope", "eco")[0] == 0
+        code, peak = traced_peak("verify", "--scope", "eco")
+        assert code == 0
+        assert peak < 1_600_000
+
     def test_all_small_bounds(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--n-max", "5", "--h-max", "3", "--identity-n-max", "6", "--alpha-max", "2"

@@ -14,13 +14,28 @@ from dyck312.dyck import (
 from strategies import dyck_words
 
 
-def valley_heights(word: str) -> set[int]:
-    """Heights of the DU factors: the D at index i ends at 2*ups - (i + 1)."""
-    return {
-        2 * word[: i + 1].count("U") - (i + 1)
+def valleys(word: str) -> list[tuple[int, int]]:
+    """(D index, height) of each DU factor: the D at index i ends at 2*ups - (i + 1)."""
+    return [
+        (i, 2 * word[: i + 1].count("U") - (i + 1))
         for i in range(len(word) - 1)
         if word[i : i + 2] == "DU"
-    }
+    ]
+
+
+def valley_heights(word: str) -> set[int]:
+    return {height for _, height in valleys(word)}
+
+
+def longest_chain(indices: list[int]) -> int:
+    """The most valleys in one chain, two valleys adjacent when their D indices differ by 2."""
+    best = run = 0
+    prev = None
+    for i in indices:
+        run = run + 1 if prev is not None and i == prev + 2 else 1
+        best = max(best, run)
+        prev = i
+    return best
 
 
 class TestParse:
@@ -110,6 +125,19 @@ class TestInClass:
         p = DyckPath(word)
         expected = dyck.height(p) <= h and h - 1 not in valley_heights(word)
         assert dyck.in_class(p, h, 2) == expected
+
+    def test_matches_definition_at_every_k(self, paths_by_n):
+        # every path with n <= 10 at h 1..7 and k 2..5: out when taller than h or when
+        # some chain of valleys at h-1 has k-1 of them
+        for paths in paths_by_n.values():
+            for p in paths:
+                top = dyck.height(p)
+                found = valleys(p.word)
+                for h in range(1, 8):
+                    chain = longest_chain([i for i, height in found if height == h - 1])
+                    for k in range(2, 6):
+                        expected = top <= h and chain < k - 1
+                        assert dyck.in_class(p, h, k) == expected, (p.word, h, k)
 
 
 class TestEnumerate:

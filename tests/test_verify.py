@@ -88,6 +88,12 @@ def _grow_non_member(word, h):
     return [("U" + w + "D" if w.startswith("U" * h) else w, k) for w, k in _grow(word, h)]
 
 
+def _grow_duplicate(word, h):
+    """grow(), with its first child again in place of the second."""
+    kids = _grow(word, h)
+    return [kids[0], kids[0], *kids[2:]] if len(kids) > 1 else kids
+
+
 # the same, for the tree that eco.grow makes and the permutation side of it
 ECO_BREAKS = {
     "grow-non-member": (
@@ -97,6 +103,15 @@ ECO_BREAKS = {
             "eco-disjoint-and-complete": "first failure: h=3, level 3 misses members",
             "eco-perm-commutation": "first failure: h=3, parent 'UUDD'",
             "eco-symbolic-agreement": "first failure: h=3, level 3",
+        },
+    ),
+    "grow-duplicates": (
+        [(eco, "grow", _grow_duplicate)],
+        {
+            "eco-disjoint-and-complete": "first failure: h=3, level 2 has duplicates",
+            "eco-label-coherence": "first failure: h=3, parent 'UD'",
+            "eco-perm-commutation": "first failure: h=3, parent 'UD'",
+            "eco-symbolic-agreement": "first failure: h=3, level 2",
         },
     ),
     "label-off-by-one": (
