@@ -32,26 +32,15 @@ LARGE_N_LIMIT = 512  # sanity rail on count --n-max, matrix --h and table --h-ma
 METHODS = {"recurrence": 2, "series": 1, "matrix": 2, "brute": 1, "eco": 3}  # name -> smallest --h
 
 
-class UsageError(Exception):
-    pass
-
-
-class MethodDisagreement(Exception):
-    pass
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
         _emit(lines, args.out)
         return code
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MethodDisagreement as exc:
-        print(f"method disagreement: {exc}", file=sys.stderr)
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,13 +190,13 @@ def _grid(rows: Iterable[Sequence], fmt: str) -> Iterable[str]:
 def _cmd_count(args) -> tuple[int, Iterable[str]]:
     h, n_max, k = args.h, args.n_max, args.k
     if h < 1:
-        raise UsageError("--h must be >= 1")
+        raise ValueError("--h must be >= 1")
     if n_max < 0:
-        raise UsageError("--n-max must be >= 0")
+        raise ValueError("--n-max must be >= 0")
     if k != 2 and args.method != "brute":
-        raise UsageError("--k other than 2 needs --method brute")
+        raise ValueError("--k other than 2 needs --method brute")
     if args.method in ("recurrence", "series", "matrix") and n_max > LARGE_N_LIMIT:
-        raise UsageError(f"--n-max above {LARGE_N_LIMIT} is not supported")
+        raise ValueError(f"--n-max above {LARGE_N_LIMIT} is not supported")
 
     # method -> the largest --n-max it reaches
     reach = dict.fromkeys(("recurrence", "series", "matrix"), LARGE_N_LIMIT)
@@ -216,7 +205,7 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
 
     def compute(method: str) -> list[int]:
         if h < METHODS[method]:
-            raise UsageError(f"--method {method} needs --h >= {METHODS[method]}")
+            raise ValueError(f"--method {method} needs --h >= {METHODS[method]}")
         # a valley at height h-1 needs semilength >= h+1, so every count at
         # n <= h is Catalan for any --k: each bound from n_max up gives the
         # same counts, and the least one the method accepts costs the least
@@ -237,7 +226,7 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
     if args.method == "all":
         wanted = [m for m in METHODS if METHODS[m] <= h and n_max <= reach[m]]
         if not wanted:
-            raise UsageError(f"no counting method can reach --n-max {n_max}")
+            raise ValueError(f"no counting method can reach --n-max {n_max}")
     else:
         wanted = [args.method]
     by_method = {m: compute(m) for m in wanted}
@@ -245,7 +234,8 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
     for i in range(n_max + 1):
         if len({vals[i] for vals in by_method.values()}) > 1:
             found = ", ".join(f"{name}={vals[i]}" for name, vals in by_method.items())
-            raise MethodDisagreement(f"n={i}: {found}")
+            print(f"method disagreement: n={i}: {found}", file=sys.stderr)
+            return 1, ()
     counts = by_method[wanted[0]]
 
     if args.format == "text":
@@ -277,9 +267,9 @@ def _render(word: str, kind: str) -> str:
 
 def _cmd_list(args) -> tuple[int, Iterable[str]]:
     if args.h < 3:
-        raise UsageError("--h must be >= 3; labels come from the generating tree")
+        raise ValueError("--h must be >= 3; labels come from the generating tree")
     if args.n < 0:
-        raise UsageError("--n must be >= 0")
+        raise ValueError("--n must be >= 0")
     # level n is the walk's nodes of semilength n, in tree order; they stream to _emit
     nodes = eco.walk(args.h, args.n, cap=args.cap)
     rows = ((_render(word, args.kind), label) for word, label in nodes if len(word) == 2 * args.n)
@@ -329,7 +319,7 @@ def _cmd_map(args) -> tuple[int, list[str]]:
 
 def _cmd_tree(args) -> tuple[int, Iterable[str]]:
     if args.depth < 0:
-        raise UsageError("--depth must be >= 0")
+        raise ValueError("--depth must be >= 0")
     if args.depth > args.cap:
         raise dyck.CapExceeded(f"depth {args.depth} exceeds tree cap {args.cap}")
     # (depth, object, label) per node, depth first; semilength d sits at depth d
@@ -380,9 +370,9 @@ def _close_nodes(last: int, depth: int) -> list[str]:
 
 def _cmd_matrix(args) -> tuple[int, Iterable[str]]:
     if args.h < 2:
-        raise UsageError("--h must be >= 2")
+        raise ValueError("--h must be >= 2")
     if args.h > LARGE_N_LIMIT:
-        raise UsageError(f"--h above {LARGE_N_LIMIT} is not supported")
+        raise ValueError(f"--h above {LARGE_N_LIMIT} is not supported")
     rows = prodmat.production_matrix(args.h).rows
     if args.format == "text":
         return 0, _grid(rows, "text")
@@ -394,9 +384,9 @@ def _cmd_matrix(args) -> tuple[int, Iterable[str]]:
 
 def _cmd_table(args) -> tuple[int, Iterable[str]]:
     if args.h_max < 1 or args.j_max < 1:
-        raise UsageError("--h-max and --j-max must be >= 1")
+        raise ValueError("--h-max and --j-max must be >= 1")
     if args.h_max > LARGE_N_LIMIT or args.j_max > LARGE_N_LIMIT:
-        raise UsageError(f"--h-max and --j-max above {LARGE_N_LIMIT} are not supported")
+        raise ValueError(f"--h-max and --j-max above {LARGE_N_LIMIT} are not supported")
     js = range(1, args.j_max + 1)
     rows = [[genfunc.denominator_coeff(h, j) for j in js] for h in range(1, args.h_max + 1)]
     if args.format == "json":

@@ -21,28 +21,26 @@ class VerifyBounds:
     n_max: int = 8          # object size for bijection/eco sweeps
     h_max: int = 5          # height bound for eco sweeps
     identity_n_max: int = 12
-    alpha_max: int = 6
 
     def __post_init__(self):
         # A bound under its floor leaves a check no case and would report a
         # vacuous PASS; a ceiling keeps a check's time bounded. Measured on a
         # 2-vCPU machine: the catalan cutoff grows about as identity_n_max**3
-        # (128: 0.2 s, 256: 2 s, 512: 24 s) and the identity sweep as
-        # identity_n_max**2.5 * alpha_max (alpha_max 1024 alone: 0.1 s; both
-        # ceilings at once: 33 s). Each eco height costs ~0.6 s at n_max 9, and
-        # from h = 10 on every level it checks (n <= 10) is the whole Catalan
-        # family, so 32 is ample. n_max stops at the enumeration cap, before
-        # any work, rather than after every smaller size has been checked.
+        # (128: 0.2 s, 256: 2 s, 512: 24 s) and the identity sweep over
+        # alpha <= n about as identity_n_max**4 (64: 0.1 s, 128: 1.5 s).
+        # Each eco height costs ~0.6 s at n_max 9, and from h = 10 on every
+        # level it checks (n <= 10) is the whole Catalan family, so 32 is
+        # ample. n_max stops at the enumeration cap, before any work, rather
+        # than after every smaller size has been checked.
         for name, least, most in (
             ("n_max", 0, dyck.DEFAULT_CAP),
-            ("h_max", None, 32),
+            ("h_max", 3, 32),
             ("identity_n_max", 2, 128),
-            ("alpha_max", 0, 1024),
         ):
             value = getattr(self, name)
-            if least is not None and value < least:
+            if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-            if most is not None and value > most:
+            if value > most:
                 raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
@@ -152,25 +150,28 @@ def _down_run_trace(p: dyck.DyckPath) -> list[tuple[perm_mod.LrMaximum, int]]:
 
 
 def _identity_checks(bounds: VerifyBounds) -> list[CheckResult]:
+    """For fixed n, catalan_identity(n, alpha)'s left side minus C_n is a
+    polynomial in alpha of degree <= n: with alpha >= 0 every binomial top
+    stays >= 0, so each _coeff(n + alpha, j), j <= n, has degree j in alpha,
+    and _coeff(n + alpha - 1, n) is _binom(alpha, n - 1) times a linear
+    factor. Its zeros at alpha = 0..n make it zero for every alpha >= 0 (the
+    "N_0 suffices" argument of Petkovsek, Wilf and Zeilberger, A = B)."""
+    n_max = bounds.identity_n_max
     sweep_bad = [
         (n, alpha)
-        for n in range(1, bounds.identity_n_max + 1)
-        for alpha in range(bounds.alpha_max + 1)
+        for n in range(1, n_max + 1)
+        for alpha in range(n + 1)
         if not genfunc.catalan_identity(n, alpha)
     ]
     cutoff_bad = [
         (h, n)
-        for h in range(2, bounds.identity_n_max + 1)
+        for h in range(2, n_max + 1)
         for n, count in enumerate(genfunc.count_sequence(h, h))
         if count != dyck.catalan(n)
     ]
     return [
-        _result(
-            "catalan-identity-sweep",
-            sweep_bad,
-            f"n<={bounds.identity_n_max}, alpha<={bounds.alpha_max}",
-        ),
-        _result("catalan-cutoff", cutoff_bad, f"2<=h<={bounds.identity_n_max}, n<=h"),
+        _result("catalan-identity-sweep", sweep_bad, f"n<={n_max}, alpha<=n: every alpha>=0"),
+        _result("catalan-cutoff", cutoff_bad, f"2<=h<={n_max}, n<=h"),
     ]
 
 
@@ -182,7 +183,7 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
     cover check streams the level's brute-force members past one set of its
     words."""
     n_max = min(bounds.n_max, 9)
-    h_range = range(3, max(3, bounds.h_max) + 1)
+    h_range = range(3, bounds.h_max + 1)
 
     membership_bad: list[str] = []
     cover_bad: list[str] = []

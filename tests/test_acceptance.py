@@ -20,7 +20,7 @@ from test_dyck import valley_heights
 
 # covers paths n<=10, avoiders n<=9, the cubic oracle n<=8, eco h=3..5 up to
 # level 10, the matrix at h=3..10 with per-label counts at n<=10, and the
-# identities at n<=12, alpha<=6
+# identities at n<=12, alpha<=n, which settles every alpha>=0
 ACCEPTANCE_BOUNDS = verify.VerifyBounds(n_max=10)
 
 FIBONACCI = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597)
@@ -105,7 +105,7 @@ def test_catalan_cutoff(scope_results):
     assert_checks_pass(scope_results("identities"), ["catalan-cutoff"])
 
 
-@criterion("catalan identity sweep n<=12, alpha<=6")
+@criterion("catalan identity sweep n<=12, every alpha>=0")
 def test_catalan_identity_sweep(scope_results):
     assert_checks_pass(scope_results("identities"), ["catalan-identity-sweep"])
 

@@ -193,15 +193,20 @@ class TestCount:
         _, second, _ = run(capsys, "count", "--h", "4", "--n-max", "10")
         assert first == second
 
-    def test_method_disagreement_exits_one(self, capsys, monkeypatch):
+    def test_method_disagreement_exits_one(self, capsys, monkeypatch, tmp_path):
         # force one route wrong and make sure the diff surfaces
         monkeypatch.setattr(
             "dyck312.cli.genfunc.count_sequence", lambda h, n: (1,) * (n + 1)
         )
-        code, _, err = run(capsys, "count", "--h", "3", "--n-max", "4", "--method", "all")
+        code, out, err = run(capsys, "count", "--h", "3", "--n-max", "4", "--method", "all")
         assert code == 1
+        assert out == ""
         assert "disagreement" in err
         assert "n=2" in err and "recurrence=1" in err and "series=2" in err
+        target = tmp_path / "counts.txt"
+        argv = ["count", "--h", "3", "--n-max", "4", "--out", str(target)]
+        assert run(capsys, *argv) == (1, "", err)
+        assert not target.exists()
 
 
 class TestList:
@@ -460,7 +465,7 @@ class TestVerify:
 
     def test_all_small_bounds(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--n-max", "5", "--h-max", "3", "--identity-n-max", "6", "--alpha-max", "2"
+            capsys, "verify", "--n-max", "5", "--h-max", "3", "--identity-n-max", "6"
         )
         assert code == 0
         assert out.splitlines()[-1].endswith("checks passed")
@@ -471,7 +476,8 @@ class TestVerify:
             ("--n-max", "-1", "bijection"),
             ("--identity-n-max", "1", "identities"),
             ("--identity-n-max", "-3", "identities"),
-            ("--alpha-max", "-1", "identities"),
+            ("--h-max", "2", "eco"),
+            ("--h-max", "0", "eco"),
         ],
     )
     def test_bound_with_no_case_is_usage_error(self, capsys, flag, value, scope):
@@ -488,8 +494,6 @@ class TestVerify:
             ("--n-max", "15", "eco"),
             ("--h-max", "33", "eco"),
             ("--identity-n-max", "129", "identities"),
-            ("--alpha-max", "1025", "identities"),
-            ("--alpha-max", "1000000000", "identities"),
         ],
     )
     def test_bound_above_ceiling_is_usage_error(self, capsys, flag, value, scope):
@@ -499,7 +503,16 @@ class TestVerify:
         assert err.startswith("error: ") and "must be <=" in err
 
     def test_bounds_at_ceiling_accepted(self):
-        VerifyBounds(n_max=14, h_max=32, identity_n_max=128, alpha_max=1024)
+        VerifyBounds(n_max=14, h_max=32, identity_n_max=128)
+
+    def test_alpha_max_is_gone(self, capsys):
+        # the identity sweep covers every alpha, so there is no range to set
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--alpha-max", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --alpha-max 3" in err
 
 
 EVERY_FORMAT = [
@@ -510,7 +523,7 @@ EVERY_FORMAT = [
         ("tree --h 3 --depth 3", ("text", "json")),
         ("matrix --h 3", ("text", "json")),
         ("table --h-max 4 --j-max 3", ("text", "csv", "json")),
-        ("verify --n-max 5 --h-max 3 --identity-n-max 6 --alpha-max 2", ("text", "json")),
+        ("verify --n-max 5 --h-max 3 --identity-n-max 6", ("text", "json")),
     ]
     for fmt in formats
 ] + [("map", None)]

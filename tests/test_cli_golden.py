@@ -86,7 +86,7 @@ def commands() -> list[str]:
     for scope in ("all", "bijection", "identities", "eco", "matrix"):
         out.append(f"verify --scope {scope}")
     out.append("verify --format json")
-    out.append("verify --n-max 5 --h-max 3 --identity-n-max 6 --alpha-max 2")
+    out.append("verify --n-max 5 --h-max 3 --identity-n-max 6")
     for direction in ("auto", "to-perm", "to-path"):
         out.append(f"map --direction {direction}")
     # usage errors whose text does not depend on count's option list
@@ -251,13 +251,13 @@ GOLDEN = {
     'table --h-max 6 --j-max 4 --format csv': (0, 'b1399e795baff9f7036cfce1fd867cac6625d85ffa18c6cb5e881795cdc12381', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 6 --j-max 4 --format json': (0, '8805037d7b72039cc44e3b2e44c5770524ab80eecb36bf7ddf1f69fe53f0654c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '99a2584d9bd0aa85906f00c23d7536283d731279ac3d4c009ce6676e4247fc3e'),
-    'verify --scope all': (0, 'f0feb4b667ac56a3dac626003b22cb5e01225db0536ef3f65b93c5756bb2b436', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --scope all': (0, '2c47c62c002266b9b2e7fb75aa04981d9e78dae2a2fa06ee16d62317eac4799e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify --scope bijection': (0, '57dd8ea281e18b48a3a2dfe0f051499fc1ee5dadc801166d8d24732c53ddd419', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --scope identities': (0, '6d3fe0d201f407d83c4d60862efe00ee706b9a6d4d6b2027423e963f5754f49b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --scope identities': (0, '14257ffc5190ad9ba4a06332bc3990a911b299555789732ef43d294a944831f1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify --scope eco': (0, 'b2cb28ed11fd653820cafab87f51e3d452c912f64b494d509196bbd6e6f5a7fc', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify --scope matrix': (0, '27a92bf3bb70d6aa4a3ac419bac93dff89021994e9dc082c66bf3cee514ff51b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --format json': (0, '06d8a4430950be3e50b333382faebbe98b01a2d275f765614ef4d9f8c189dbc9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --n-max 5 --h-max 3 --identity-n-max 6 --alpha-max 2': (0, '4610ac800f9654fece4ef38fb5da29b747eaa7e28fd4eb1664cf4814365a74c9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --format json': (0, 'b02af82ecaf3c5487a0860d8a689c183dd0d3dd2f7f06436d629627500234741', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --n-max 5 --h-max 3 --identity-n-max 6': (0, '6725a7f8ed8ed10b622b6e101d4e4490b86b29f2277ea34b272d246c4ab1eacc', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'map --direction auto': (1, '51d9b05f7efa30ebadb8e58e5ca68a92240a435838a58591a9c8297d77d9e9e2', '30913568d3be3094268ca839d7b9bcc8973dfcbc1c882bdbd38b14d47d7747c0'),
     'map --direction to-perm': (1, '81dc1116592e6abe9ae8d94da266a61eeb86d1f2df813817de7139ff226e9b11', 'aba5f77a0a1aab1c5c6e7fc2002df6fbd2b004acac7a616d7aeb6ad2d3471124'),
     'map --direction to-path': (1, '9fafab1c8e43fe58caa68efef323d76b88adcf05a71962b2b2af0738999a8e4c', 'ab55824b4e375892ef42a5aa041d4a392999edd9bb0e73219b70faa4aa845028'),
@@ -268,7 +268,7 @@ GOLDEN = {
     'map --direction sideways': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f4dc22296dbd9c1e3a56392543ce80ee6d507edce153fd4170bff0939dfcc976'),
     'matrix': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cdd0aae2a5737aea05a4d7ebdc626cc52a0d4992678cd44c25ece6ac8b64c203'),
     'table --h-max x': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '5e0c17380ef92f48db3d804000a9be8e14032c53d6ed3bcee91e5829030e71fc'),
-    'verify --scope nope': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '39f247664604ce5a1b3e1f0ecdcc3aa1164fa0e0cb492c85d83cdf1b52e37168'),
+    'verify --scope nope': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f7a22e740fb6c1985e4b054d8aee1aff2e60c343a5bae9a8927a4b8ac782c5e2'),
 }
 
 

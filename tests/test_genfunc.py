@@ -190,8 +190,23 @@ class TestCatalanIdentity:
 
     def test_sweep(self):
         for n in range(1, 13):
-            for alpha in range(7):
+            for alpha in range(n + 1):
                 assert genfunc.catalan_identity(n, alpha)
+
+    def test_terms_are_polynomials_in_alpha(self):
+        # the premise of verify's sweep: _coeff(n + alpha, j) has degree j in
+        # alpha, and _coeff(n + alpha - 1, n) degree n, so the next finite
+        # difference vanishes
+        def vanishes(values, order):
+            for _ in range(order):
+                values = [b - a for a, b in zip(values, values[1:])]
+            return not any(values)
+
+        for n in range(1, 17):
+            alphas = range(2 * n + 4)
+            for j in range(1, n + 1):
+                assert vanishes([genfunc._coeff(n + a, j) for a in alphas], j + 1), (n, j)
+            assert vanishes([genfunc._coeff(n + a - 1, n) for a in alphas], n + 1), n
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

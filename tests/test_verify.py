@@ -4,7 +4,7 @@ the others passing, and report it as a failure rather than raise."""
 
 import pytest
 
-from dyck312 import bijection, dyck, eco, perm, verify
+from dyck312 import bijection, dyck, eco, genfunc, perm, verify
 from dyck312.cli import main
 from dyck312.dyck import DyckPath
 from dyck312.perm import Permutation
@@ -15,6 +15,7 @@ _path_to_perm = bijection.path_to_perm
 _grow = eco.grow
 _label = eco._label
 _perm_children = eco.perm_children
+_coeff = genfunc._coeff
 
 
 def _image_312(p):
@@ -175,3 +176,14 @@ def test_eco_scope_tests_each_path_once(monkeypatch):
     )
     enumerated = (bounds.h_max - 2) * sum(dyck.catalan(n) for n in levels)
     assert len(calls) == children + enumerated
+
+
+def test_identity_sweep_reaches_every_height_it_proves(monkeypatch):
+    # a wrong x^1 term from h = 19 on: alpha <= n reaches h = 2n, while a sweep
+    # stopped at alpha <= 6 (h <= 18) and the cutoff (h <= 12) both miss it
+    monkeypatch.setattr(genfunc, "_coeff", lambda h, j: _coeff(h, j) + (j == 1 and h >= 19))
+    results = verify.run("identities")
+    assert [r.name for r in results] == ["catalan-identity-sweep", "catalan-cutoff"]
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "catalan-identity-sweep": "first failure: (10, 9)"
+    }
