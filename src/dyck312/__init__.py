@@ -2,7 +2,10 @@
 312-avoiding permutation images, and exact machinery counting both.
 
 All public values are immutable and every operation is a pure function, so
-everything here is safe to call concurrently.
+everything here is safe to call concurrently. The records (DyckPath,
+Permutation, LrMaximum, SuccessionRule, ProductionMatrix, VerifyBounds,
+CheckResult) are named tuples: indexable, iterable and equal to a plain tuple
+of their fields. Copy one with _replace and read it as a dict with _asdict.
 """
 
 from . import bijection, dyck, eco, genfunc, perm, prodmat

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import os
 import stat
 import sys
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import bijection, dyck, eco, genfunc, prodmat
 from . import perm as perm_mod
@@ -101,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
     p.add_argument("--scope", choices=verify_mod.SCOPES, default="all")
-    for field in dataclasses.fields(verify_mod.VerifyBounds):
-        p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
+    for name, default in verify_mod.VerifyBounds._field_defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     _output_flags(p, ("text", "json"))
     p.set_defaults(func=_cmd_verify)
 
@@ -403,8 +402,7 @@ def _cmd_table(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
-    fields = dataclasses.fields(verify_mod.VerifyBounds)
-    bounds = verify_mod.VerifyBounds(**{f.name: getattr(args, f.name) for f in fields})
+    bounds = verify_mod.VerifyBounds(*(getattr(args, f) for f in verify_mod.VerifyBounds._fields))
     results = verify_mod.run(scope=args.scope, bounds=bounds)
     ok = all(r.passed for r in results)
     code = 0 if ok else 1
@@ -412,7 +410,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
         payload = {
             "scope": args.scope,
             "passed": ok,
-            "results": [dataclasses.asdict(r) for r in results],
+            "results": [r._asdict() for r in results],
         }
         return code, _json_doc("verify", payload)
     lines = [

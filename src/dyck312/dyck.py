@@ -7,8 +7,8 @@ word. All counts are exact Python integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 DEFAULT_CAP = 14  # exhaustive-enumeration bound; semilength 14 is ~2.7M paths
 
@@ -42,15 +42,14 @@ class CapExceeded(ValueError):
     """Requested size is beyond the configured enumeration cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class DyckPath:
+class DyckPath(namedtuple("DyckPath", "word")):
     """A Dyck path as its U/D word; the empty word is the empty path.
 
     The word is assumed valid (balanced, no prefix below the axis). Use
     parse_path() for untrusted text.
     """
 
-    word: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.word
@@ -139,7 +138,6 @@ def require_size(n: int, cap: int = DEFAULT_CAP) -> None:
         raise CapExceeded(f"semilength {n} exceeds cap {cap}")
 
 
-@dataclass(frozen=True, slots=True)
 class DyckPaths:
     """The paths of semilength n, in lexicographic word order ('D' < 'U'):
     a sized view that makes each path as it is iterated, so an iteration
@@ -150,7 +148,14 @@ class DyckPaths:
     first half ending at l, so the first halves, listed once, give both.
     """
 
-    n: int
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int):
+        self._n = n
+
+    @property
+    def n(self) -> int:
+        return self._n
 
     def __len__(self) -> int:
         return catalan(self.n)

@@ -8,9 +8,8 @@ ordered tuple of its children's labels; a label (k) always has k children.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 
 from . import dyck, perm
 from .dyck import CapExceeded, DyckPath
@@ -25,17 +24,17 @@ class NotInClass(ValueError):
     """Operand is outside the class the growth operator is defined on."""
 
 
-@dataclass(frozen=True)
-class SuccessionRule:
-    axiom: Label
-    productions: dict[Label, tuple[Label, ...]]
+class SuccessionRule(namedtuple("SuccessionRule", "axiom productions")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        for label, prod in self.productions.items():
+    def __new__(cls, axiom: Label, productions: dict[Label, tuple[Label, ...]]):
+        for label, prod in productions.items():
             if len(prod) != label:
                 raise ValueError(
                     f"label ({label}) must produce {label} children, got {len(prod)}"
                 )
+        return super().__new__(cls, axiom, productions)
 
 
 def _require_h(h: int) -> None:

@@ -8,7 +8,7 @@ left-to-right maximum is literally value - index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class NotAPermutation(ValueError):
@@ -19,13 +19,12 @@ class NotAPermutation(ValueError):
         self.value = value
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    entries: tuple[int, ...]
+class Permutation(namedtuple("Permutation", "entries")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __new__(cls, entries: tuple[int, ...]):
+        entries = tuple(entries)
         n = len(entries)
         seen = [False] * (n + 1)
         for v in entries:
@@ -34,17 +33,16 @@ class Permutation:
             if seen[v]:
                 raise NotAPermutation(f"duplicate value {v}", v)
             seen[v] = True
+        return super().__new__(cls, entries)
 
     def __str__(self) -> str:
         return " ".join(map(str, self.entries))
 
 
-@dataclass(frozen=True, slots=True)
-class LrMaximum:
+class LrMaximum(namedtuple("LrMaximum", "index value")):
     """A left-to-right maximum: 1-based position and the entry there."""
 
-    index: int
-    value: int
+    __slots__ = ()
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -4,11 +4,10 @@ from the differences between adjacent columns."""
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from itertools import compress
 from operator import sub
-from typing import Iterator
 
 from .eco import Label, SuccessionRule
 
@@ -20,23 +19,23 @@ class NonContiguousLabels(ValueError):
     """Rule labels must form the range 1..d to index a square matrix."""
 
 
-@dataclass(frozen=True, slots=True)
-class ProductionMatrix:
+class ProductionMatrix(namedtuple("ProductionMatrix", "rows")):
     """Square nonnegative integer matrix; row and column i (0-based) stand for
     label i+1. Row k lists how many children of each label a (k+1)-labelled
     node produces."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(r) for r in rows)
         d = len(rows)
         for r in rows:
             if len(r) != d:
                 raise ValueError("matrix must be square")
-            if any(e < 0 for e in r):
+            if min(r) < 0:  # r is not empty: d >= 1 when there is a row
                 raise ValueError("entries must be nonnegative")
+        return super().__new__(cls, rows)
 
     @property
     def dimension(self) -> int:

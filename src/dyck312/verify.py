@@ -9,20 +9,20 @@ run them at larger bounds.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import permutations as iter_permutations
 
 from . import bijection, dyck, eco, genfunc, prodmat
 from . import perm as perm_mod
 
-@dataclass(frozen=True)
-class VerifyBounds:
-    n_max: int = 8          # object size for bijection/eco sweeps
-    h_max: int = 5          # height bound for eco sweeps
-    identity_n_max: int = 12
+class VerifyBounds(namedtuple("VerifyBounds", "n_max h_max identity_n_max", defaults=(8, 5, 12))):
+    # n_max: object size for bijection/eco sweeps
+    # h_max: height bound for eco sweeps
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # A bound under its floor leaves a check no case and would report a
         # vacuous PASS; a ceiling keeps a check's time bounded. Measured on a
         # 2-vCPU machine: the catalan cutoff grows about as identity_n_max**3
@@ -42,13 +42,11 @@ class VerifyBounds:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
             if value > most:
                 raise ValueError(f"{name} must be <= {most}, got {value}")
+        return self
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
 
 def run(scope: str = "all", bounds: VerifyBounds = VerifyBounds()) -> list[CheckResult]:

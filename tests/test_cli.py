@@ -684,6 +684,21 @@ def test_optimized_interpreter(capsys):
     assert (counted.returncode, counted.stdout, counted.stderr) == run(capsys, *argv)
 
 
+def test_start_up_imports():
+    # each command is a new process: building the parser must not load dataclasses
+    # (which brings inspect and ast) nor, without site's preloads (-S), typing
+    src = os.path.dirname(os.path.dirname(dyck312.__file__))
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import dyck312.cli; dyck312.cli.build_parser(); "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["count"])  # missing required flags

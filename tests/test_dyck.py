@@ -157,6 +157,9 @@ class TestEnumerate:
             view = dyck.enumerate_dyck(n)
             assert len(view) == len(paths_by_n[n])
             assert list(view) == list(view) == paths_by_n[n]
+            assert view.n == n
+            assert all(p in view for p in paths_by_n[n])
+            assert DyckPath("UD" * (n + 1)) not in view
             with pytest.raises(AttributeError):
                 view.n = n + 1
 
