@@ -4,7 +4,7 @@ permutations, and the excess/height transport along it."""
 from __future__ import annotations
 
 from .dyck import DyckPath
-from .perm import LrMaximum, Permutation, avoids_312, left_to_right_maxima
+from .perm import LrMaximum, Permutation, _trusted, avoids_312, left_to_right_maxima
 
 
 class Not312Avoiding(ValueError):
@@ -23,7 +23,9 @@ def path_to_perm(p: DyckPath) -> Permutation:
             stack.append(label)
         else:
             out.append(stack.pop())
-    return Permutation(tuple(out))
+    if stack:  # an unmatched up: the labels are not 1..n, and Permutation names the first
+        return Permutation(tuple(out))
+    return _trusted(tuple(out))  # each label 1..n was pushed and popped once
 
 
 def perm_to_path(pi: Permutation) -> DyckPath:

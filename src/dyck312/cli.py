@@ -2,7 +2,9 @@
 rendering, and the cross-validation suite.
 
 Each command checks its arguments and returns its exit code and its output
-lines; main writes all output, to stdout or to --out, in one place.
+lines; main writes all output, to stdout or to --out, in one place. A command
+whose code depends on every line it writes (map) returns the code as a
+callable instead, which main calls after the lines are written.
 
 Exit codes: 0 success, 1 verification failure, method disagreement or a
 malformed map input line, 2 usage or parse errors, or an --out file that
@@ -19,8 +21,7 @@ import json
 import os
 import stat
 import sys
-from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import bijection, dyck, eco, genfunc, prodmat
 from . import perm as perm_mod
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
     try:
         code, lines = args.func(args)
         _emit(lines, args.out)
-        return code
+        return code() if callable(code) else code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -218,9 +219,7 @@ def _cmd_count(args) -> tuple[int, Iterable[str]]:
         if method == "brute":
             dyck.require_size(n_max, reach["brute"])  # before any smaller size is enumerated
             return [dyck.count_brute(n, bound, k, cap=reach["brute"]) for n in range(n_max + 1)]
-        # a node of semilength n sits at level n; the walk holds one path, not a level
-        sizes = Counter(len(word) // 2 for word, _ in eco.walk(bound, n_max, cap=reach["eco"]))
-        return [sizes[n] for n in range(n_max + 1)]
+        return eco.level_sizes(bound, n_max, cap=reach["eco"])  # holds one path, not a level
 
     if args.method == "all":
         wanted = [m for m in METHODS if METHODS[m] <= h and n_max <= reach[m]]
@@ -294,23 +293,38 @@ def _list_json(head: str, rows: Iterable[tuple[str, int]]) -> Iterator[str]:
 # ---------------------------------------------------------------- map
 
 
-def _cmd_map(args) -> tuple[int, list[str]]:
-    out_lines: list[str] = []
+def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
     failed = False
-    for i, raw in enumerate(sys.stdin, start=1):  # a line ends at "\n" only, unlike splitlines
-        line = raw.strip()
-        direction = args.direction
-        if direction == "auto":
-            direction = "to-perm" if set(line) <= {"U", "D"} else "to-path"
-        try:
-            if direction == "to-perm":
-                out_lines.append(str(bijection.path_to_perm(dyck.parse_path(line))))
+
+    def mapped() -> Iterator[str]:
+        nonlocal failed
+        # one line is held at a time; a line ends at "\n" only, unlike splitlines
+        for i, raw in enumerate(sys.stdin, start=1):
+            line = raw.strip()
+            direction = args.direction
+            if direction == "auto":
+                direction = "to-perm" if set(line) <= {"U", "D"} else "to-path"
+            try:
+                if direction == "to-perm":
+                    text = str(bijection.path_to_perm(dyck.parse_path(line)))
+                else:
+                    text = str(bijection.perm_to_path(perm_mod.parse_perm(line)))
+            except ValueError as exc:
+                print(f"line {i}: {exc}", file=sys.stderr)
+                failed = True
             else:
-                out_lines.append(str(bijection.perm_to_path(perm_mod.parse_perm(line))))
-        except ValueError as exc:
-            print(f"line {i}: {exc}", file=sys.stderr)
-            failed = True
-    return (1 if failed else 0), out_lines
+                yield text
+
+    lines = mapped()
+
+    def code() -> int:
+        # a reader that left (`| head`) stopped _emit early: the rest of stdin is
+        # still checked, so the exit code and the messages cover every line
+        for _ in lines:
+            pass
+        return 1 if failed else 0
+
+    return code, lines
 
 
 # ---------------------------------------------------------------- tree

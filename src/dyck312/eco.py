@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from . import dyck, perm
 from .dyck import CapExceeded, DyckPath
-from .perm import Permutation
+from .perm import Permutation, _trusted
 
 Label = int
 
@@ -62,19 +62,25 @@ def _label(run: int, h: int) -> Label:
     return h - 1 if run == h else run + 1
 
 
-def grow(word: str, h: int) -> list[tuple[str, Label]]:
-    """One peak-insertion step: (child word, child label) per active site, in
-    site order.
+def _sites(word: str, h: int) -> int:
+    """The number of active sites, so of children, of a class member.
 
     A word starting with t ups has sites before each of those ups plus one
     right after the run (t+1 sites) when t < h, and only the sites before the
-    first h-1 ups when t = h. Inserting UD at site i gives the child an
-    initial run of i+1. The empty word grows into UD. The word must be a
-    class member and h >= 3; children() and label_of() check both.
-    """
+    first h-1 ups when t = h."""
     t = _initial_ups(word)
-    sites = t + 1 if t < h else h - 1
-    return [(word[:i] + "UD" + word[i:], _label(i + 1, h)) for i in range(sites)]
+    return t + 1 if t < h else h - 1
+
+
+def grow(word: str, h: int) -> list[tuple[str, Label]]:
+    """One peak-insertion step: (child word, child label) per active site
+    (see _sites), in site order.
+
+    Inserting UD at site i gives the child an initial run of i+1. The empty
+    word grows into UD. The word must be a class member and h >= 3;
+    children() and label_of() check both.
+    """
+    return [(word[:i] + "UD" + word[i:], _label(i + 1, h)) for i in range(_sites(word, h))]
 
 
 def children(p: DyckPath, h: int) -> list[DyckPath]:
@@ -172,6 +178,23 @@ def _walk(h: int, depth: int) -> Iterator[tuple[str, Label]]:
             yield from grow(word, h)
 
 
+def level_sizes(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> list[int]:
+    """The sizes of levels 0..n_max of the path generating tree: the nodes
+    walk(h, n_max) yields, counted by semilength. The walk stops a level
+    short and each node of level n_max-1 adds its site count to level n_max,
+    so the last level, the largest, is counted but never made."""
+    _require_h(h)
+    _require_depth("n_max", n_max, cap)
+    sizes = [0] * (n_max + 1)
+    last = 2 * n_max - 2  # the length of a word on level n_max-1
+    for word, _ in _walk(h, n_max - 1):
+        n = len(word) // 2
+        sizes[n] += 1
+        if len(word) == last:
+            sizes[n_max] += _sites(word, h)
+    return sizes
+
+
 def perm_children(pi: Permutation, h: int) -> list[Permutation]:
     """Prepend each allowed value and rescale, in ascending order of the new
     first entry.
@@ -184,13 +207,13 @@ def perm_children(pi: Permutation, h: int) -> list[Permutation]:
         raise NotInClass(f"permutation '{pi}' is not in the height-{h} class")
     e = pi.entries
     if not e:
-        return [Permutation((1,))]
+        return [_trusted((1,))]
     first = e[0]
     top = first + 1 if first < h else h - 1
     out: list[Permutation] = []
-    for ell in range(1, top + 1):
+    for ell in range(1, top + 1):  # ell before 1..n shifted past it rearranges 1..n+1
         rescaled = tuple(v + 1 if v >= ell else v for v in e)
-        out.append(Permutation((ell,) + rescaled))
+        out.append(_trusted((ell,) + rescaled))
     return out
 
 

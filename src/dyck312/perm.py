@@ -39,6 +39,12 @@ class Permutation(namedtuple("Permutation", "entries")):
         return " ".join(map(str, self.entries))
 
 
+def _trusted(entries: tuple[int, ...]) -> Permutation:
+    """A Permutation of a tuple known to rearrange 1..n, built without the
+    range and duplicate scan; for permutations the package itself builds."""
+    return tuple.__new__(Permutation, (entries,))
+
+
 class LrMaximum(namedtuple("LrMaximum", "index value")):
     """A left-to-right maximum: 1-based position and the entry there."""
 

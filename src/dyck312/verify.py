@@ -94,7 +94,7 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
 
         avoiders = []
         for t in iter_permutations(range(1, n + 1)):
-            pi = perm_mod.Permutation(t)
+            pi = perm_mod._trusted(t)
             avoids = perm_mod.avoids_312(pi)
             if n <= cubic_n and avoids != perm_mod.avoids_312_cubic(pi):
                 cubic_bad.append(str(pi))

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from dyck312 import bijection, dyck, perm
+from dyck312 import bijection, dyck, eco, perm
 from dyck312.bijection import Not312Avoiding
 from dyck312.dyck import DyckPath
-from dyck312.perm import LrMaximum, Permutation
+from dyck312.perm import LrMaximum, NotAPermutation, Permutation
 
 from strategies import dyck_words
 
@@ -24,6 +25,24 @@ class TestPathToPerm:
         for paths in paths_by_n.values():
             for p in paths:
                 assert perm.avoids_312(bijection.path_to_perm(p))
+
+    @given(dyck_words(max_semilength=12), st.integers(min_value=0, max_value=2))
+    def test_built_unchecked_like_checked(self, word, extra):
+        # path_to_perm and perm_children skip Permutation's scan: what they build
+        # passes it, and equals and hashes like the record the scan builds
+        p = DyckPath(word)
+        pi = bijection.path_to_perm(p)
+        h = max(3, dyck.height(p) + 1) + extra  # a path below height h-1 is a member
+        for built in [pi, *eco.perm_children(pi, h)]:
+            checked = Permutation(built.entries)
+            assert type(built) is Permutation and type(built.entries) is tuple
+            assert built == checked and hash(built) == hash(checked)
+
+    def test_unmatched_up_keeps_the_check(self):
+        # DyckPath does not validate its word; an unmatched up still fails as it did
+        with pytest.raises(NotAPermutation) as exc:
+            bijection.path_to_perm(DyckPath("UUD"))
+        assert str(exc.value) == "value 2 out of range 1..1"
 
 
 class TestPermToPath:

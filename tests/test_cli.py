@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -5,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -327,6 +329,22 @@ class TestMap:
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr == b"line 1: not an integer: 'UD'\nline 2: not an integer: 'x'\n"
 
+    def test_streams(self, capsys, monkeypatch):
+        # each line is written as it is mapped, and its message as it is read: both
+        # are out before the last input line is read
+        seen = []
+
+        def stdin():
+            yield "UUDUDD\n"
+            yield "UDX\n"
+            seen.append(capsys.readouterr())
+            yield "1\n"
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        code, out, err = run(capsys, "map")
+        assert [tuple(s) for s in seen] == [("2 3 1\n", "line 2: not an integer: 'UDX'\n")]
+        assert (code, out, err) == (1, "UD\n", "")
+
     def test_crlf_maps_like_lf(self, capsys, monkeypatch):
         text = "UUDUDD\n1\n\n3 1 2\nUDX\n2 1\n"
         self.feed(monkeypatch, text)
@@ -568,6 +586,24 @@ class TestOutputFile(object):
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_map_read_failure_keeps_target(self, capsys, monkeypatch, tmp_path):
+        # map writes while it reads; stdin that fails part-way, as on bytes that are
+        # not UTF-8, exits 2 after two lines are written and leaves the target as it was
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+
+        def stdin():
+            yield "UD\n"
+            yield "UUDD\n"
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        code, out, err = run(capsys, "map", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_interrupt_while_writing_keeps_target(self, tmp_path):
         target = tmp_path / "out.txt"
         target.write_text("old\n")
@@ -659,12 +695,20 @@ def test_closed_pipe_is_quiet(argv, stdin, read, code, err, unbuffered):
         stderr=subprocess.PIPE,
         env=env,
     ) as proc:
-        proc.stdin.write(stdin)
-        proc.stdin.close()
+        # stdin is fed from a thread: map writes while it reads, so writing all of
+        # stdin before reading stdout would fill both pipes and hang
+        def feed():
+            with contextlib.suppress(BrokenPipeError), proc.stdin:
+                proc.stdin.write(stdin)
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
         assert len(proc.stdout.read(read)) == read
         proc.stdout.close()
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == code
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
     # nothing on stderr but the malformed line's own message
     assert stderr.startswith(err) and stderr.count(b"\n") == (1 if err else 0)
 

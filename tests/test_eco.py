@@ -197,6 +197,29 @@ class TestWalk:
         assert str(info.value) == message
 
 
+class TestLevelSizes:
+    def test_matches_the_walk(self):
+        for h in range(3, 9):
+            sizes = Counter(len(word) // 2 for word, _ in eco.walk(h, 10))
+            for n_max in range(11):
+                assert eco.level_sizes(h, n_max) == [sizes[n] for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize(
+        "h, n_max, cap, error, message",
+        [
+            (2, 3, 12, ValueError, "the growth operator needs h >= 3, got 2"),
+            (3, -1, 12, ValueError, "n_max must be >= 0, got -1"),
+            (3, 5, 4, CapExceeded, "level 5 exceeds tree cap 4"),
+            (3, 13, eco.DEFAULT_TREE_CAP, CapExceeded, "level 13 exceeds tree cap 12"),
+        ],
+    )
+    def test_errors(self, h, n_max, cap, error, message):
+        # the walk's checks, so the CLI's eco route reports what it reported
+        with pytest.raises(error) as info:
+            eco.level_sizes(h, n_max, cap=cap)
+        assert str(info.value) == message
+
+
 class TestPermChildren:
     def test_axiom(self):
         assert eco.perm_children(Permutation(()), 3) == [Permutation((1,))]
