@@ -34,8 +34,7 @@ def perm_to_path(pi: Permutation) -> DyckPath:
     Each left-to-right maximum heads a descending run; emit ups for the jump
     between consecutive maxima and downs for the run size.
     """
-    if not avoids_312(pi):
-        raise Not312Avoiding(f"'{pi}' contains 312")
+    _require_avoids_312(pi)
     parts: list[str] = []
     best = 0
     head = 1  # position of the maximum heading the current run
@@ -51,6 +50,12 @@ def perm_to_path(pi: Permutation) -> DyckPath:
 def lrm_heights(pi: Permutation) -> list[tuple[LrMaximum, int]]:
     """Each left-to-right maximum paired with its excess value - index, which
     equals the height reached by its down step in the corresponding path."""
+    _require_avoids_312(pi)
+    return [(m, m.value - m.index) for m in left_to_right_maxima(pi)]
+
+
+def _require_avoids_312(pi: Permutation) -> None:
+    """Raise Not312Avoiding unless pi avoids 312: the operand check of
+    perm_to_path and lrm_heights, also made on map's lines left unmapped."""
     if not avoids_312(pi):
         raise Not312Avoiding(f"'{pi}' contains 312")
-    return [(m, m.value - m.index) for m in left_to_right_maxima(pi)]

@@ -295,6 +295,7 @@ def _list_json(head: str, rows: Iterable[tuple[str, int]]) -> Iterator[str]:
 
 def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
     failed = False
+    checking = False  # set once _emit is done: the lines left are checked, not mapped
 
     def mapped() -> Iterator[str]:
         nonlocal failed
@@ -304,11 +305,18 @@ def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
             direction = args.direction
             if direction == "auto":
                 direction = "to-perm" if set(line) <= {"U", "D"} else "to-path"
+            text = ""
             try:
                 if direction == "to-perm":
-                    text = str(bijection.path_to_perm(dyck.parse_path(line)))
+                    path = dyck.parse_path(line)
+                    if not checking:  # a parsed word always has an image: parsing checks it
+                        text = str(bijection.path_to_perm(path))
                 else:
-                    text = str(bijection.perm_to_path(perm_mod.parse_perm(line)))
+                    pi = perm_mod.parse_perm(line)
+                    if checking:
+                        bijection._require_avoids_312(pi)
+                    else:
+                        text = str(bijection.perm_to_path(pi))
             except ValueError as exc:
                 print(f"line {i}: {exc}", file=sys.stderr)
                 failed = True
@@ -319,7 +327,9 @@ def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
 
     def code() -> int:
         # a reader that left (`| head`) stopped _emit early: the rest of stdin is
-        # still checked, so the exit code and the messages cover every line
+        # still checked, not mapped, so the exit code and the messages cover every line
+        nonlocal checking
+        checking = True
         for _ in lines:
             pass
         return 1 if failed else 0

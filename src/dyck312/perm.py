@@ -7,6 +7,7 @@ left-to-right maximum is literally value - index.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import namedtuple
 
@@ -36,7 +37,8 @@ class Permutation(namedtuple("Permutation", "entries")):
         return super().__new__(cls, entries)
 
     def __str__(self) -> str:
-        return " ".join(map(str, self.entries))
+        # one C loop; %d also prints an entry True as 1, so equal records print alike
+        return ("%d " * len(self.entries) % self.entries)[:-1]
 
 
 def _trusted(entries: tuple[int, ...]) -> Permutation:
@@ -52,11 +54,35 @@ class LrMaximum(namedtuple("LrMaximum", "index value")):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_NOT_CANONICAL = str.maketrans("", "", "0123456789 ")  # deletes all of canonical text
+_DECODER = json.JSONDecoder()  # shareable: an array of integers is read without Python code
 
 
 def parse_perm(text: str) -> Permutation:
     """Parse integers separated by whitespace or commas; blank input is the
-    empty permutation. An integer is an optional sign and ASCII digits."""
+    empty permutation. An integer is an optional sign and ASCII digits.
+
+    Canonical text, the form str() writes (ASCII digits, single spaces,
+    nothing before or after), is read as one JSON array in C. Any other text,
+    and canonical-looking text that JSON refuses (a doubled, leading or
+    trailing space, a leading zero, more digits than int() converts), is read
+    token by token; both give the same result and raise the same errors.
+    """
+    # the usual other separators leave at a substring search, before the costlier
+    # translate and, for two spaces, a JSONDecodeError
+    if (
+        "," not in text
+        and "\t" not in text
+        and "  " not in text
+        and text.isascii()
+        and not text.translate(_NOT_CANONICAL)
+    ):
+        try:
+            values = _DECODER.raw_decode(f"[{text.replace(' ', ',')}]")[0]
+        except ValueError:  # a JSONDecodeError, or a token past int()'s digit limit
+            pass
+        else:
+            return Permutation(values)
     tokens = text.replace(",", " ").split()
     # int() also reads '1_0' and non-ASCII digits; in ASCII text without '_'
     # it reads exactly the integers, so one map() converts them all

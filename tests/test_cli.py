@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import dyck312
-from dyck312 import cli, dyck, eco
+from dyck312 import bijection, cli, dyck, eco
 from dyck312.cli import METHODS, main
 from dyck312.verify import VerifyBounds
 
@@ -344,6 +344,46 @@ class TestMap:
         code, out, err = run(capsys, "map")
         assert [tuple(s) for s in seen] == [("2 3 1\n", "line 2: not an integer: 'UDX'\n")]
         assert (code, out, err) == (1, "UD\n", "")
+
+    @pytest.mark.parametrize(
+        "direction, good, bad, mapper, error",
+        [
+            ("to-perm", "UUDD", "UDX", "path_to_perm", "invalid character 'X' at index 2"),
+            ("to-path", "2 1", "3 1 2", "perm_to_path", "'3 1 2' contains 312"),
+        ],
+    )
+    def test_lines_after_the_reader_left_are_checked_not_mapped(
+        self, capsys, monkeypatch, tmp_path, direction, good, bad, mapper, error
+    ):
+        calls = []
+        real = getattr(bijection, mapper)
+        monkeypatch.setattr(bijection, mapper, lambda x: calls.append(x) or real(x))
+        self.feed(monkeypatch, f"{good}\n{good}\n{good}\n{bad}\n{good}\n")
+        with open(tmp_path / "stdout", "w") as spare:
+
+            class ReaderLeaves(io.StringIO):
+                """A stdout whose reader leaves before the first write."""
+
+                def writelines(self, lines):
+                    raise BrokenPipeError
+
+                def fileno(self):  # _emit points this descriptor at devnull
+                    return spare.fileno()
+
+            monkeypatch.setattr("sys.stdout", ReaderLeaves())
+            code = main(["map", "--direction", direction])
+        # line 1 was mapped before the first write; lines 2-5 were only checked
+        assert (code, len(calls)) == (1, 1)
+        assert capsys.readouterr().err == f"line 4: {error}\n"
+
+    def test_every_permutation_spelling(self, capsys, monkeypatch):
+        # the expectation CI compares the installed script with: canonical text is
+        # read as JSON, the other spellings token by token, to the same paths and errors
+        data = os.path.join(os.path.dirname(__file__), "data", "map-to-path.")
+        with open(data + "in") as fh:
+            self.feed(monkeypatch, fh.read())
+        with open(data + "out") as out, open(data + "err") as err:
+            assert run(capsys, "map", "--direction", "to-path") == (1, out.read(), err.read())
 
     def test_crlf_maps_like_lf(self, capsys, monkeypatch):
         text = "UUDUDD\n1\n\n3 1 2\nUDX\n2 1\n"

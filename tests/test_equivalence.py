@@ -162,6 +162,43 @@ def test_parse_perm(tokens, data):
     assert outcome(perm.parse_perm, text) == outcome(ref_parse_perm, text)
 
 
+# joined by single spaces, with nothing before or after: the form str() writes,
+# which parse_perm reads as one JSON array unless JSON refuses a token, and
+# tokens JSON reads as something other than an integer
+canonical_tokens = st.one_of(
+    perm_tuples(max_n=12).map(lambda t: list(map(str, t))),
+    st.lists(
+        st.one_of(
+            st.integers(-2, 14).map(str),
+            st.integers(0, 14).map("0{}".format),  # a leading zero
+            st.just("7" * 4301),  # past int()'s digit limit
+            st.sampled_from(["true", "null", "[1]", '"1"']),
+            bad_tokens,
+        ),
+        max_size=12,
+    ),
+)
+
+
+@given(canonical_tokens)
+def test_parse_perm_canonical(tokens):
+    text = " ".join(tokens)
+    assert outcome(perm.parse_perm, text) == outcome(ref_parse_perm, text)
+
+
+@given(perm_tuples(max_n=60))
+def test_str_is_the_canonical_join(t):
+    p = Permutation(t)
+    assert str(p) == " ".join(map(str, t))
+    assert perm.parse_perm(str(p)) == p
+
+
+def test_equal_permutations_print_alike():
+    p = Permutation((True, 2))
+    assert p == Permutation((1, 2)) and str(p) == "1 2"
+    assert perm.parse_perm(str(p)) == p
+
+
 def test_parse_perm_past_the_digit_limit():
     # int() refuses this many digits; both versions call the token not an integer
     text = "1 " + "2" * 5000
