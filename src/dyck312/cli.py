@@ -132,7 +132,9 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         except BrokenPipeError:
             # the reader left (`dyck312 list ... | head`): stop writing quietly, as a filter
             # does, with stdout on devnull so that the flush at exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         mode = os.stat(out).st_mode

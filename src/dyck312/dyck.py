@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import repeat
 
 DEFAULT_CAP = 14  # exhaustive-enumeration bound; semilength 14 is ~2.7M paths
 
@@ -102,24 +103,24 @@ def in_class(p: DyckPath, h: int, k: int = 2) -> bool:
         raise ValueError(f"h must be >= 1, got {h}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    level = 0
+    room = h  # h minus the level: the up steps left before the path exceeds h
     run = 0  # valleys in the current chain at h-1
     landed = False  # the last step was a down step ending at h-1
     for c in p.word:
         if c == "D":
-            level -= 1
-            landed = level == h - 1
+            room += 1
+            landed = room == 1
         elif landed:  # climbs back to h, so it cannot exceed it
             run += 1
             if run >= k - 1:
                 return False
-            level += 1
+            room -= 1
             landed = False
         else:
-            run = 0
-            level += 1
-            if level > h:
+            if not room:
                 return False
+            run = 0
+            room -= 1
     return True
 
 
@@ -170,9 +171,10 @@ class DyckPaths:
             tails.setdefault(l, []).append(w[::-1].translate(mirror))
         for ways in tails.values():
             ways.sort()
+        # DyckPath.__new__ checks nothing, so each head's words are wrapped by
+        # tuple.__new__ in one C loop, with no Python frame per path
         for head, l in heads:
-            for tail in tails[l]:
-                yield DyckPath(head + tail)
+            yield from map(tuple.__new__, repeat(DyckPath), zip(map(head.__add__, tails[l])))
 
 
 def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> DyckPaths:
@@ -183,4 +185,5 @@ def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> DyckPaths:
 
 def count_brute(n: int, h: int, k: int = 2, cap: int = DEFAULT_CAP) -> int:
     """Oracle count: filter the full enumeration through in_class, one word at a time."""
-    return sum(1 for p in enumerate_dyck(n, cap=cap) if in_class(p, h, k))
+    # in_class is looked up here, at call time, so a wrapper set on the module sees every word
+    return sum(map(in_class, enumerate_dyck(n, cap=cap), repeat(h), repeat(k)))

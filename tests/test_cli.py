@@ -376,6 +376,26 @@ class TestMap:
         assert (code, len(calls)) == (1, 1)
         assert capsys.readouterr().err == f"line 4: {error}\n"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_pipe_leaks_no_descriptor(self, capsys, monkeypatch, tmp_path):
+        # an in-process caller keeps running after the reader leaves, so pointing
+        # stdout at devnull must not leave the devnull descriptor open
+        with open(tmp_path / "stdout", "w") as spare:
+
+            class ReaderLeaves(io.StringIO):
+                def writelines(self, lines):
+                    raise BrokenPipeError
+
+                def fileno(self):  # the test's own descriptor, never pytest's fd 1
+                    return spare.fileno()
+
+            monkeypatch.setattr("sys.stdout", ReaderLeaves())
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(5):
+                self.feed(monkeypatch, "UUDD\n")
+                assert main(["map"]) == 0
+            assert len(os.listdir("/proc/self/fd")) == before
+
     def test_every_permutation_spelling(self, capsys, monkeypatch):
         # the expectation CI compares the installed script with: canonical text is
         # read as JSON, the other spellings token by token, to the same paths and errors

@@ -169,6 +169,14 @@ class TestEnumerate:
             assert words == sorted(words)
             assert len(set(words)) == len(words)
 
+    def test_records_are_dyck_paths(self):
+        # the paths are built without DyckPath's constructor; each must still be one
+        for n in range(10):
+            for p in dyck.enumerate_dyck(n):
+                assert type(p) is DyckPath
+                assert p == DyckPath(p.word) and hash(p) == hash(DyckPath(p.word))
+                assert str(p) == p.word
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             dyck.enumerate_dyck(5, cap=4)
@@ -204,6 +212,20 @@ class TestCountBrute:
 
     def test_height_one_sequence(self):
         assert [dyck.count_brute(n, 1, 2) for n in range(5)] == [1, 1, 0, 0, 0]
+
+    def test_one_in_class_call_per_word(self, monkeypatch):
+        # in_class is looked up on the module at each call, so a wrapper sees every
+        # word: the 42 paths of semilength 5, of which 29 are in the class at h = 3
+        real = dyck.in_class
+        results = []
+
+        def counting(p, h, k=2):
+            results.append(real(p, h, k))
+            return results[-1]
+
+        monkeypatch.setattr(dyck, "in_class", counting)
+        assert dyck.count_brute(5, 3) == 29
+        assert (len(results), results.count(True)) == (42, 29)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -8,7 +8,7 @@ class with the same index and message.
 
 import json
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -39,6 +39,33 @@ def ref_parse_path(text: str) -> DyckPath:
     if level:
         raise Unbalanced(open_ups[0])
     return DyckPath(text)
+
+
+def ref_in_class_scan(p: DyckPath, h: int, k: int = 2) -> bool:
+    """in_class as a scan that counts the level up: the same answer on any word, valid or not."""
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    level = 0
+    run = 0  # valleys in the current chain at h-1
+    landed = False  # the last step was a down step ending at h-1
+    for c in p.word:
+        if c == "D":
+            level -= 1
+            landed = level == h - 1
+        elif landed:  # climbs back to h, so it cannot exceed it
+            run += 1
+            if run >= k - 1:
+                return False
+            level += 1
+            landed = False
+        else:
+            run = 0
+            level += 1
+            if level > h:
+                return False
+    return True
 
 
 def ref_parse_perm(text: str) -> Permutation:
@@ -203,6 +230,17 @@ def test_parse_perm_past_the_digit_limit():
     # int() refuses this many digits; both versions call the token not an integer
     text = "1 " + "2" * 5000
     assert outcome(perm.parse_perm, text) == outcome(ref_parse_perm, text)
+
+
+def test_in_class_on_every_short_string():
+    # invalid words too (dips below the axis, unbalanced, other letters): in_class
+    # trusts its input, so on any word it must answer as the level scan does
+    for length in range(10):
+        for t in product("UDx", repeat=length):
+            p = DyckPath("".join(t))
+            for h in range(1, 7):
+                for k in range(2, 5):
+                    assert dyck.in_class(p, h, k) == ref_in_class_scan(p, h, k), (p.word, h, k)
 
 
 def test_enumerate_dyck_same_words_in_the_same_order():
