@@ -8,7 +8,7 @@ CheckResult) are named tuples: indexable, iterable and equal to a plain tuple
 of their fields. Copy one with _replace and read it as a dict with _asdict.
 """
 
-from . import bijection, dyck, eco, genfunc, perm, prodmat
+from . import bijection, counting, dyck, eco, genfunc, perm, prodmat
 from .bijection import path_to_perm, perm_to_path
 from .dyck import DyckPath, catalan, parse_path
 from .perm import Permutation, parse_perm
@@ -21,6 +21,7 @@ __all__ = [
     "__version__",
     "bijection",
     "catalan",
+    "counting",
     "dyck",
     "eco",
     "genfunc",

@@ -1,10 +1,11 @@
 """Command-line surface: counting, listing, mapping, tree/matrix/table
 rendering, and the cross-validation suite.
 
-Each command checks its arguments and returns its exit code and its output
-lines; main writes all output, to stdout or to --out, in one place. A command
-whose code depends on every line it writes (map) returns the code as a
-callable instead, which main calls after the lines are written.
+Each command checks its arguments (count leaves that, the clamp of --h and
+the cross-check of the routes to counting.count) and returns its exit code and
+its output lines; main writes all output, to stdout or to --out, in one place.
+A command whose code depends on every line it writes (map) returns the code as
+a callable instead, which main calls after the lines are written.
 
 Exit codes: 0 success, 1 verification failure, method disagreement or a
 malformed map input line, 2 usage or parse errors, or an --out file that
@@ -23,13 +24,11 @@ import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from . import bijection, dyck, eco, genfunc, prodmat
+from . import bijection, counting, dyck, eco, genfunc, prodmat
 from . import perm as perm_mod
 from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
-LARGE_N_LIMIT = 512  # sanity rail on count --n-max, matrix --h and table --h-max/--j-max
-METHODS = {"recurrence": 2, "series": 1, "matrix": 2, "brute": 1, "eco": 3}  # name -> smallest --h
 
 
 def main(argv=None) -> int:
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count class members for sizes 0..N-MAX")
     p.add_argument("--h", type=int, required=True, help="height bound")
     p.add_argument("--n-max", type=int, required=True, help="largest size to count")
-    p.add_argument("--method", choices=(*METHODS, "all"), default="all")
+    p.add_argument("--method", choices=(*counting.ROUTES, "all"), default="all")
     p.add_argument("--k", type=int, default=2, help="valley-run bound (brute only)")
     p.add_argument("--cap", type=int, default=None, help="enumeration/tree size cap")
     _output_flags(p, ("text", "csv", "json"))
@@ -190,66 +189,19 @@ def _grid(rows: Iterable[Sequence], fmt: str) -> Iterable[str]:
 
 
 def _cmd_count(args) -> tuple[int, Iterable[str]]:
-    h, n_max, k = args.h, args.n_max, args.k
-    if h < 1:
-        raise ValueError("--h must be >= 1")
-    if n_max < 0:
-        raise ValueError("--n-max must be >= 0")
-    if k != 2 and args.method != "brute":
-        raise ValueError("--k other than 2 needs --method brute")
-    if args.method in ("recurrence", "series", "matrix") and n_max > LARGE_N_LIMIT:
-        raise ValueError(f"--n-max above {LARGE_N_LIMIT} is not supported")
-
-    # method -> the largest --n-max it reaches
-    reach = dict.fromkeys(("recurrence", "series", "matrix"), LARGE_N_LIMIT)
-    reach["brute"] = args.cap if args.cap is not None else dyck.DEFAULT_CAP
-    reach["eco"] = args.cap if args.cap is not None else eco.DEFAULT_TREE_CAP
-
-    def compute(method: str) -> list[int]:
-        if h < METHODS[method]:
-            raise ValueError(f"--method {method} needs --h >= {METHODS[method]}")
-        # a valley at height h-1 needs semilength >= h+1, so every count at
-        # n <= h is Catalan for any --k: each bound from n_max up gives the
-        # same counts, and the least one the method accepts costs the least
-        bound = max(min(h, n_max), METHODS[method])
-        if method == "recurrence":
-            return list(genfunc.count_sequence(bound, n_max))
-        if method == "series":
-            return list(genfunc.series(genfunc.generating_function(bound), n_max))
-        if method == "matrix":
-            return list(prodmat.level_totals(prodmat.production_matrix(bound), 1, n_max))
-        if method == "brute":
-            dyck.require_size(n_max, reach["brute"])  # before any smaller size is enumerated
-            return [dyck.count_brute(n, bound, k, cap=reach["brute"]) for n in range(n_max + 1)]
-        return eco.level_sizes(bound, n_max, cap=reach["eco"])  # holds one path, not a level
-
-    if args.method == "all":
-        wanted = [m for m in METHODS if METHODS[m] <= h and n_max <= reach[m]]
-        if not wanted:
-            raise ValueError(f"no counting method can reach --n-max {n_max}")
-    else:
-        wanted = [args.method]
-    by_method = {m: compute(m) for m in wanted}
-
-    for i in range(n_max + 1):
-        if len({vals[i] for vals in by_method.values()}) > 1:
-            found = ", ".join(f"{name}={vals[i]}" for name, vals in by_method.items())
-            print(f"method disagreement: n={i}: {found}", file=sys.stderr)
-            return 1, ()
-    counts = by_method[wanted[0]]
+    try:
+        by_method = counting.count(args.h, args.n_max, args.method, args.k, args.cap)
+    except counting.MethodDisagreement as exc:
+        print(f"method disagreement: {exc}", file=sys.stderr)
+        return 1, ()
+    counts = next(iter(by_method.values()))
 
     if args.format == "text":
         return 0, _grid([counts], "csv")  # the counts as one CSV row
     if args.format == "csv":
         rows = zip(itertools.count(), *by_method.values())
-        return 0, _grid(itertools.chain((["n", *wanted],), rows), "csv")
-    payload = {
-        "h": h,
-        "k": k,
-        "n_max": n_max,
-        "method": args.method,
-        "counts": counts,
-    }
+        return 0, _grid(itertools.chain((["n", *by_method],), rows), "csv")
+    payload = {"h": args.h, "k": args.k, "n_max": args.n_max, "method": args.method, "counts": counts}
     if args.method == "all":
         payload["methods"] = by_method
     return 0, _json_doc("count", payload)
@@ -396,8 +348,8 @@ def _close_nodes(last: int, depth: int) -> list[str]:
 def _cmd_matrix(args) -> tuple[int, Iterable[str]]:
     if args.h < 2:
         raise ValueError("--h must be >= 2")
-    if args.h > LARGE_N_LIMIT:
-        raise ValueError(f"--h above {LARGE_N_LIMIT} is not supported")
+    if args.h > counting.LARGE_N_LIMIT:
+        raise ValueError(f"--h above {counting.LARGE_N_LIMIT} is not supported")
     rows = prodmat.production_matrix(args.h).rows
     if args.format == "text":
         return 0, _grid(rows, "text")
@@ -410,8 +362,8 @@ def _cmd_matrix(args) -> tuple[int, Iterable[str]]:
 def _cmd_table(args) -> tuple[int, Iterable[str]]:
     if args.h_max < 1 or args.j_max < 1:
         raise ValueError("--h-max and --j-max must be >= 1")
-    if args.h_max > LARGE_N_LIMIT or args.j_max > LARGE_N_LIMIT:
-        raise ValueError(f"--h-max and --j-max above {LARGE_N_LIMIT} are not supported")
+    if args.h_max > counting.LARGE_N_LIMIT or args.j_max > counting.LARGE_N_LIMIT:
+        raise ValueError(f"--h-max and --j-max above {counting.LARGE_N_LIMIT} are not supported")
     js = range(1, args.j_max + 1)
     rows = [[genfunc.denominator_coeff(h, j) for j in js] for h in range(1, args.h_max + 1)]
     if args.format == "json":

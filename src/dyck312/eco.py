@@ -62,13 +62,11 @@ def _label(run: int, h: int) -> Label:
     return h - 1 if run == h else run + 1
 
 
-def _sites(word: str, h: int) -> int:
-    """The number of active sites, so of children, of a class member.
-
-    A word starting with t ups has sites before each of those ups plus one
-    right after the run (t+1 sites) when t < h, and only the sites before the
-    first h-1 ups when t = h."""
-    t = _initial_ups(word)
+def _sites(t: int, h: int) -> int:
+    """The number of active sites, so of children, of a class member whose word
+    starts with t ups, or whose permutation starts with t (0 when it is empty):
+    one before each up of the run and one right after it (t+1 sites) when
+    t < h, and only the sites before the first h-1 ups when t = h."""
     return t + 1 if t < h else h - 1
 
 
@@ -80,7 +78,8 @@ def grow(word: str, h: int) -> list[tuple[str, Label]]:
     word grows into UD. The word must be a class member and h >= 3;
     children() and label_of() check both.
     """
-    return [(word[:i] + "UD" + word[i:], _label(i + 1, h)) for i in range(_sites(word, h))]
+    sites = _sites(_initial_ups(word), h)
+    return [(word[:i] + "UD" + word[i:], _label(i + 1, h)) for i in range(sites)]
 
 
 def children(p: DyckPath, h: int) -> list[DyckPath]:
@@ -191,27 +190,21 @@ def level_sizes(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> list[int]:
         n = len(word) // 2
         sizes[n] += 1
         if len(word) == last:
-            sizes[n_max] += _sites(word, h)
+            sizes[n_max] += _sites(_initial_ups(word), h)
     return sizes
 
 
 def perm_children(pi: Permutation, h: int) -> list[Permutation]:
-    """Prepend each allowed value and rescale, in ascending order of the new
-    first entry.
-
-    A permutation starting with f < h grows by prepending 1..f+1; one starting
-    with f = h by prepending 1..h-1. Entries >= the prepended value shift up
-    by one. The empty permutation grows into the singleton."""
+    """Prepend each value 1.._sites(f, h) in ascending order, f the first entry
+    (0 when empty), shifting the entries >= it up by one: 1..f+1 when f < h,
+    1..h-1 when f = h, and the empty permutation grows into the singleton."""
     _require_h(h)
     if not perm.in_class(pi, h):
         raise NotInClass(f"permutation '{pi}' is not in the height-{h} class")
     e = pi.entries
-    if not e:
-        return [_trusted((1,))]
-    first = e[0]
-    top = first + 1 if first < h else h - 1
     out: list[Permutation] = []
-    for ell in range(1, top + 1):  # ell before 1..n shifted past it rearranges 1..n+1
+    # ell before 1..n shifted past it rearranges 1..n+1
+    for ell in range(1, _sites(e[0] if e else 0, h) + 1):
         rescaled = tuple(v + 1 if v >= ell else v for v in e)
         out.append(_trusted((ell,) + rescaled))
     return out

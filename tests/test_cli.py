@@ -13,7 +13,8 @@ import pytest
 
 import dyck312
 from dyck312 import bijection, cli, dyck, eco
-from dyck312.cli import METHODS, main
+from dyck312.cli import main
+from dyck312.counting import ROUTES
 from dyck312.verify import VerifyBounds
 
 
@@ -85,7 +86,7 @@ class TestCount:
         [
             (["--h", "1", "--n-max", "4"], ["series", "brute"]),
             (["--h", "2", "--n-max", "4"], ["recurrence", "series", "matrix", "brute"]),
-            (["--h", "3", "--n-max", "6", "--cap", "6"], list(METHODS)),
+            (["--h", "3", "--n-max", "6", "--cap", "6"], list(ROUTES)),
             (["--h", "3", "--n-max", "7", "--cap", "6"], ["recurrence", "series", "matrix"]),
             (["--h", "3", "--n-max", "15"], ["recurrence", "series", "matrix"]),
         ],
@@ -135,7 +136,7 @@ class TestCount:
 
     @pytest.mark.parametrize(
         "method, extra",
-        [pytest.param(m, (), id=m) for m in (*METHODS, "all")]
+        [pytest.param(m, (), id=m) for m in (*ROUTES, "all")]
         + [pytest.param("brute", ("--k", "3"), id="brute-k3")],
     )
     @pytest.mark.parametrize("h, n_max", [(4, 3), (7, 5), (64, 6), (1000, 3)])

@@ -1,0 +1,76 @@
+import pytest
+
+from dyck312 import dyck, eco, genfunc, prodmat
+from dyck312.counting import LARGE_N_LIMIT, ROUTES, MethodDisagreement, count
+
+
+def reach(route):
+    return LARGE_N_LIMIT if route.cap is None else route.cap
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_least_h_is_the_engines_own(name):
+    # each row restates its engine's precondition; the engine must agree with it
+    route = ROUTES[name]
+    with pytest.raises(ValueError):
+        route.engine(route.least_h - 1, 4, 2, reach(route))
+    counts = list(route.engine(route.least_h, 4, 2, reach(route)))
+    assert len(counts) == 5
+    assert counts[: route.least_h + 1] == [dyck.catalan(n) for n in range(route.least_h + 1)]
+
+
+@pytest.fixture
+def bounds(monkeypatch):
+    """route -> the h its engine was called with, spied on the engines' modules."""
+    seen = {}
+
+    def spy(module, attr, route, h_arg=0):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            seen.setdefault(route, set()).add(args[h_arg])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    spy(genfunc, "count_sequence", "recurrence")
+    spy(genfunc, "generating_function", "series")
+    spy(prodmat, "production_matrix", "matrix")
+    spy(dyck, "count_brute", "brute", h_arg=1)
+    spy(eco, "level_sizes", "eco")
+    return seen
+
+
+def test_library_call_clamps_h(bounds):
+    # at n <= h every count is Catalan, so h = 10**6 runs each route at n_max = 3
+    assert count(10**6, 3) == {name: [1, 1, 2, 5] for name in ROUTES}
+    assert bounds == {name: {max(3, route.least_h)} for name, route in ROUTES.items()}
+
+
+def test_clamp_never_lifts_h_past_least(bounds):
+    assert count(1, 0) == {"series": [1], "brute": [1]}
+    assert bounds == {"series": {1}, "brute": {1}}
+    with pytest.raises(ValueError, match="--method eco needs --h >= 3"):
+        count(2, 1, "eco")
+
+
+def test_cap_sets_the_reach_of_brute_and_eco():
+    for name, n_max in (("brute", 15), ("eco", 13)):  # one past each default cap
+        with pytest.raises(dyck.CapExceeded):
+            count(3, n_max, name)
+    assert list(count(3, 7, cap=6)) == ["recurrence", "series", "matrix"]
+    assert list(count(3, 6, cap=6)) == list(ROUTES)
+    with pytest.raises(dyck.CapExceeded):
+        count(3, 6, "brute", cap=5)
+
+
+def test_disagreement(monkeypatch):
+    monkeypatch.setattr(genfunc, "count_sequence", lambda h, n: (1,) * (n + 1))
+    with pytest.raises(MethodDisagreement) as info:
+        count(3, 4)
+    exc = info.value
+    assert not isinstance(exc, ValueError)
+    assert isinstance(exc, ArithmeticError)
+    assert exc.n == 2
+    assert exc.values == {"recurrence": 1, "series": 2, "matrix": 2, "brute": 2, "eco": 2}
+    assert str(exc) == "n=2: recurrence=1, series=2, matrix=2, brute=2, eco=2"
