@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -42,6 +43,8 @@ def main(argv=None) -> int:
         return 2
 
 
+# one parser per process: a dropped parser is cyclic garbage, one lot per in-process main()
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyck312",
@@ -57,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, help="largest size to count")
     p.add_argument("--method", choices=(*counting.ROUTES, "all"), default="all")
     p.add_argument("--k", type=int, default=2, help="valley-run bound (brute only)")
-    p.add_argument("--cap", type=int, default=None, help="enumeration/tree size cap")
     _output_flags(p, ("text", "csv", "json"))
     p.set_defaults(func=_cmd_count)
 
@@ -65,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("paths", "perms"), default="paths")
-    p.add_argument("--cap", type=int, default=eco.DEFAULT_TREE_CAP)
     _output_flags(p, ("text", "csv", "json"))
     p.set_defaults(func=_cmd_list)
 
@@ -83,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--kind", choices=("paths", "perms"), default="paths")
-    p.add_argument("--cap", type=int, default=eco.DEFAULT_TREE_CAP)
     _output_flags(p, ("text", "json"))
     p.set_defaults(func=_cmd_tree)
 
@@ -190,7 +190,7 @@ def _grid(rows: Iterable[Sequence], fmt: str) -> Iterable[str]:
 
 def _cmd_count(args) -> tuple[int, Iterable[str]]:
     try:
-        by_method = counting.count(args.h, args.n_max, args.method, args.k, args.cap)
+        by_method = counting.count(args.h, args.n_max, args.method, args.k)
     except counting.MethodDisagreement as exc:
         print(f"method disagreement: {exc}", file=sys.stderr)
         return 1, ()
@@ -223,7 +223,7 @@ def _cmd_list(args) -> tuple[int, Iterable[str]]:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     # level n is the walk's nodes of semilength n, in tree order; they stream to _emit
-    nodes = eco.walk(args.h, args.n, cap=args.cap)
+    nodes = eco.walk(args.h, args.n)
     rows = ((_render(word, args.kind), label) for word, label in nodes if len(word) == 2 * args.n)
 
     if args.format == "text":
@@ -297,12 +297,10 @@ def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
 def _cmd_tree(args) -> tuple[int, Iterable[str]]:
     if args.depth < 0:
         raise ValueError("--depth must be >= 0")
-    if args.depth > args.cap:
-        raise dyck.CapExceeded(f"depth {args.depth} exceeds tree cap {args.cap}")
     # (depth, object, label) per node, depth first; semilength d sits at depth d
     walk = (
         (len(word) // 2, _render(word, args.kind), label)
-        for word, label in eco.walk(args.h, args.depth, cap=args.cap)
+        for word, label in eco.walk(args.h, args.depth)
     )
 
     if args.format == "text":

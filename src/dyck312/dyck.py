@@ -40,7 +40,7 @@ class NegativePrefix(ValueError):
 
 
 class CapExceeded(ValueError):
-    """Requested size is beyond the configured enumeration cap."""
+    """Requested size is beyond the enumeration cap or the tree cap."""
 
 
 class DyckPath(namedtuple("DyckPath", "word")):
@@ -131,12 +131,12 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def require_size(n: int, cap: int = DEFAULT_CAP) -> None:
-    """Raise unless enumerate_dyck accepts semilength n: 0 <= n <= cap."""
+def require_size(n: int) -> None:
+    """Raise unless enumerate_dyck accepts semilength n: 0 <= n <= DEFAULT_CAP."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceeded(f"semilength {n} exceeds cap {cap}")
+    if n > DEFAULT_CAP:
+        raise CapExceeded(f"semilength {n} exceeds cap {DEFAULT_CAP}")
 
 
 class DyckPaths:
@@ -177,13 +177,13 @@ class DyckPaths:
             yield from map(tuple.__new__, repeat(DyckPath), zip(map(head.__add__, tails[l])))
 
 
-def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> DyckPaths:
+def enumerate_dyck(n: int) -> DyckPaths:
     """All paths of semilength n, as a DyckPaths view; the size is checked here."""
-    require_size(n, cap)
+    require_size(n)
     return DyckPaths(n)
 
 
-def count_brute(n: int, h: int, k: int = 2, cap: int = DEFAULT_CAP) -> int:
+def count_brute(n: int, h: int, k: int = 2) -> int:
     """Oracle count: filter the full enumeration through in_class, one word at a time."""
     # in_class is looked up here, at call time, so a wrapper set on the module sees every word
-    return sum(map(in_class, enumerate_dyck(n, cap=cap), repeat(h), repeat(k)))
+    return sum(map(in_class, enumerate_dyck(n), repeat(h), repeat(k)))

@@ -128,14 +128,14 @@ def symbolic_counts(rule: SuccessionRule, n: int) -> tuple[int, dict[Label, int]
     return sum(counts.values()), dict(counts)
 
 
-def _require_depth(name: str, n: int, cap: int) -> None:
+def _require_depth(name: str, n: int) -> None:
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceeded(f"level {n} exceeds tree cap {cap}")
+    if n > DEFAULT_TREE_CAP:
+        raise CapExceeded(f"level {n} exceeds tree cap {DEFAULT_TREE_CAP}")
 
 
-def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[list[tuple[str, Label]]]:
+def iter_levels(h: int, n_max: int) -> Iterator[list[tuple[str, Label]]]:
     """Yield levels 0..n_max of the path generating tree, breadth-first, each
     a list of (word, label) pairs as grow() returns them; level 0 is the root
     ("", 1).
@@ -146,7 +146,7 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
     breadth-first reference that the tests compare walk() against.
     """
     _require_h(h)
-    _require_depth("n_max", n_max, cap)
+    _require_depth("n_max", n_max)
     level = [("", 1)]
     yield level
     for _ in range(n_max):
@@ -154,14 +154,14 @@ def iter_levels(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[lis
         yield level
 
 
-def walk(h: int, depth: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, Label]]:
+def walk(h: int, depth: int) -> Iterator[tuple[str, Label]]:
     """Yield the (word, label) nodes of levels 0..depth of the path generating
     tree depth first: a node, then its children's subtrees in site order, so
     each level's nodes come in iter_levels()'s order. Only the pending
     siblings along one root-to-node path are held, O(depth * h) nodes rather
     than a level. The checks run at the call, before any node is asked for."""
     _require_h(h)
-    _require_depth("depth", depth, cap)
+    _require_depth("depth", depth)
     return _walk(h, depth)
 
 
@@ -177,13 +177,13 @@ def _walk(h: int, depth: int) -> Iterator[tuple[str, Label]]:
             yield from grow(word, h)
 
 
-def level_sizes(h: int, n_max: int, cap: int = DEFAULT_TREE_CAP) -> list[int]:
+def level_sizes(h: int, n_max: int) -> list[int]:
     """The sizes of levels 0..n_max of the path generating tree: the nodes
     walk(h, n_max) yields, counted by semilength. The walk stops a level
     short and each node of level n_max-1 adds its site count to level n_max,
     so the last level, the largest, is counted but never made."""
     _require_h(h)
-    _require_depth("n_max", n_max, cap)
+    _require_depth("n_max", n_max)
     sizes = [0] * (n_max + 1)
     last = 2 * n_max - 2  # the length of a word on level n_max-1
     for word, _ in _walk(h, n_max - 1):

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import dyck312
-from dyck312 import bijection, cli, dyck, eco
+from dyck312 import bijection, cli, dyck, eco, genfunc
 from dyck312.cli import main
 from dyck312.counting import ROUTES
 from dyck312.verify import VerifyBounds
@@ -86,12 +86,16 @@ class TestCount:
         [
             (["--h", "1", "--n-max", "4"], ["series", "brute"]),
             (["--h", "2", "--n-max", "4"], ["recurrence", "series", "matrix", "brute"]),
-            (["--h", "3", "--n-max", "6", "--cap", "6"], list(ROUTES)),
-            (["--h", "3", "--n-max", "7", "--cap", "6"], ["recurrence", "series", "matrix"]),
+            (["--h", "3", "--n-max", "12"], list(ROUTES)),
+            (["--h", "3", "--n-max", "14"], ["recurrence", "series", "matrix", "brute"]),
             (["--h", "3", "--n-max", "15"], ["recurrence", "series", "matrix"]),
         ],
     )
-    def test_all_runs_the_methods_in_reach(self, capsys, argv, methods):
+    def test_all_runs_the_methods_in_reach(self, capsys, monkeypatch, argv, methods):
+        # brute force at its cap is 2.67 M words; only which methods run is asked here
+        monkeypatch.setattr(
+            dyck, "count_brute", lambda n, h, k=2: genfunc.series(genfunc.generating_function(h), n)[n]
+        )
         code, out, _ = run(capsys, "count", *argv, "--format", "json")
         assert code == 0
         assert list(json.loads(out)["methods"]) == methods
@@ -115,14 +119,13 @@ class TestCount:
         assert code == 2
 
     def test_brute_cap(self, capsys):
-        code, _, err = run(capsys, "count", "--h", "3", "--n-max", "6", "--method", "brute", "--cap", "5")
-        assert code == 2
-        assert "cap" in err
+        argv = ["count", "--h", "3", "--n-max", "15", "--method", "brute", "--k", "3", "--format", "json"]
+        assert run(capsys, *argv) == (2, "", "error: semilength 15 exceeds cap 14\n")
 
     def test_brute_past_cap_enumerates_nothing(self, capsys, monkeypatch):
         # the cap is checked for --n-max before any smaller size is enumerated
         calls = []
-        monkeypatch.setattr(dyck, "enumerate_dyck", lambda n, cap=dyck.DEFAULT_CAP: calls.append(n) or [])
+        monkeypatch.setattr(dyck, "enumerate_dyck", lambda n: calls.append(n) or [])
         code, out, err = run(capsys, "count", "--h", "3", "--n-max", "15", "--method", "brute")
         assert (code, out, err) == (2, "", "error: semilength 15 exceeds cap 14\n")
         assert calls == []
@@ -261,8 +264,8 @@ class TestList:
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_cap_writes_nothing(self, capsys, tmp_path, fmt):
         # the cap is checked before the first line, the CSV header included, is made
-        argv = ["list", "--h", "3", "--n", "5", "--cap", "4", "--format", fmt]
-        error = "error: level 5 exceeds tree cap 4\n"
+        argv = ["list", "--h", "3", "--n", "13", "--format", fmt]
+        error = "error: level 13 exceeds tree cap 12\n"
         assert run(capsys, *argv) == (2, "", error)
         assert run(capsys, *argv, "--out", str(tmp_path / "F")) == (2, "", error)
         assert list(tmp_path.iterdir()) == []
@@ -461,8 +464,9 @@ class TestTree:
         assert peak < 500_000
 
     def test_depth_cap(self, capsys):
-        code, _, _ = run(capsys, "tree", "--h", "3", "--depth", "5", "--cap", "4")
-        assert code == 2
+        # eco.walk's check, made at the call, before the first line is written
+        argv = ["tree", "--h", "3", "--depth", "13", "--format", "json"]
+        assert run(capsys, *argv) == (2, "", "error: level 13 exceeds tree cap 12\n")
 
 
 class TestMatrix:

@@ -50,9 +50,9 @@ def commands() -> list[str]:
         "count --h 4 --n-max 300 --method series",
         "count --h 3 --n-max 513 --method recurrence",
         "count --h 2 --n-max 600",
-        "count --h 3 --n-max 6 --method brute --cap 5",
+        "count --h 3 --n-max 15 --method brute",
         "count --h 3 --n-max 13 --method eco",
-        "count --h 3 --n-max 9 --cap 7",
+        "count --h 3 --n-max 15",
         "count --h 0 --n-max 3",
         "count --h 3 --n-max -1",
         "count --h 2 --n-max 4 --k 3 --method series",
@@ -69,12 +69,12 @@ def commands() -> list[str]:
         "list --h 3 --n 3",
         "list --h 2 --n 2",
         "list --h 3 --n -1",
-        "list --h 3 --n 5 --cap 4",
+        "list --h 3 --n 13",
         "tree --h 3 --depth 4",
         "tree --h 3 --depth 4 --kind perms",
         "tree --h 2 --depth 0",
         "tree --h 3 --depth -1",
-        "tree --h 3 --depth 5 --cap 4",
+        "tree --h 3 --depth 13",
     ]
     for h in (2, 3, 5):
         for fmt in ("text", "json"):
@@ -184,9 +184,9 @@ GOLDEN = {
     'count --h 4 --n-max 300 --method series': (0, 'ab1cb79539de04623d92894278dc4474fc9c04e8e1f1a07aacfc420d7e39f2ab', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 3 --n-max 513 --method recurrence': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c8aacc3fabd470b773348c673d94a60c1169008972542056c6fbc1c01e86ae7c'),
     'count --h 2 --n-max 600': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '20b23746cfe7955869ebbb3e3b465061f8555e9f675a4bad27136fb0155d66a1'),
-    'count --h 3 --n-max 6 --method brute --cap 5': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '4f38a2bd496647436e333033698ca18802fdf7cfadce17be168ca335afd3f5e8'),
+    'count --h 3 --n-max 15 --method brute': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '2f15f934a93feade4ddad2273701347bf4e48c9240b7eeaaf5197c00f53b3354'),
     'count --h 3 --n-max 13 --method eco': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c7db0042579fc597425103a1ea55b12ae31f579a272ac99f0314964942c88186'),
-    'count --h 3 --n-max 9 --cap 7': (0, '1fc2e91a85440d822243a492d3cafebbce6c548628f09e71a199c51a6df10217', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'count --h 3 --n-max 15': (0, 'de849d623f12eaf8705c203130b5c63d2cb453c5bff6a556b721bf88ab9d9544', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 0 --n-max 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '2a1f209eb39cd37a4c86cd652e84a70d9aca41e730fb4235a721b6be855be71c'),
     'count --h 3 --n-max -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '68d9fd3ffff220681c47ad0c0b7e0ca0ec4e24ff3856922dfab8b6e6cbc755da'),
     'count --h 2 --n-max 4 --k 3 --method series': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '69b962df51b07b01feec6ab580779741502bb1a90ea9899ccc973a4e92d94112'),
@@ -233,12 +233,12 @@ GOLDEN = {
     'list --h 3 --n 3': (0, '7980b8700fec2cbd7aa9051fae505c2a82db2fce5fb0a24497e1ba67b2020797', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'list --h 2 --n 2': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'fb7ab41bfca40822c643af15eb212afcbac23b0ab6179a0bbf3e4d4640790285'),
     'list --h 3 --n -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '9ad9b03c6116e54f71b619e17dedc833f986e7f5e4e0cfd028e94481a47354b3'),
-    'list --h 3 --n 5 --cap 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'dcf19bab6bae5ea5416c98e2f8e79100ef77ae8ab7e14a4d7458becab9cdae21'),
+    'list --h 3 --n 13': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c7db0042579fc597425103a1ea55b12ae31f579a272ac99f0314964942c88186'),
     'tree --h 3 --depth 4': (0, 'e37b382a31ac0509e1e86abb3340e9e95c87ccfba3a6e9f88cee6d907e2a4655', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'tree --h 3 --depth 4 --kind perms': (0, '5b653a356ddfd65cf14e162e743853ede47e9056781810de031a339e1ea4f252', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'tree --h 2 --depth 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e695bc30978c0889f01cc85c56cdcef360fc56d29ae5fc1e788c4bbf57b6a1b1'),
     'tree --h 3 --depth -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f99b1bf439f4036685d5084b1af68b2e8cc717ffbaa3eb65db806ab4ad62dcb3'),
-    'tree --h 3 --depth 5 --cap 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '386a103503957f375337b277be7a0d25def55d9513fb62ff6b1605f8c27f9cb5'),
+    'tree --h 3 --depth 13': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c7db0042579fc597425103a1ea55b12ae31f579a272ac99f0314964942c88186'),
     'matrix --h 2 --format text': (0, 'f8e436185d5fa1ce802f69712472c2c11d0d66461ccb3fbba4efb42b76823ae3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'matrix --h 2 --format json': (0, '14baed9d2717a9c05a750d8a054efa09ea5f69bf6fce6d4c0ae53441ddb60f8e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'matrix --h 3 --format text': (0, '40d0ab1a4f56650deca2a449e7a237da0627ae9ed6b33e3eea720a329afd297a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -263,8 +263,8 @@ GOLDEN = {
     'map --direction to-path': (1, '9fafab1c8e43fe58caa68efef323d76b88adcf05a71962b2b2af0738999a8e4c', 'ab55824b4e375892ef42a5aa041d4a392999edd9bb0e73219b70faa4aa845028'),
     '': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '4a597590e90331bfa878a0f4cfe85cf09d4c46d4805a0a87c486b28b769d20fb'),
     'bogus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '274ca59d05cc3fd3ecc01b26f538a509d0b9c32a311410a797422fc7b783b4ee'),
-    'list --h 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '2307090a0733ecbb3b95f9ec71d7df93aa00ec9157e3f88717782752a85a5e76'),
-    'tree --h 3 --depth 2 --kind trees': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '02f159b57261026584a1edc3e2dfae0339bc7ceb35f7e6bce574b3ed30e87873'),
+    'list --h 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '285a30651b4e0a901ea39d1ea41c99da694ed906dd860c62396a72a78c8b9779'),
+    'tree --h 3 --depth 2 --kind trees': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '9de8f2f64515d00144ffa35bf9efc22957ff40896eb477b97e99c2f63469dad8'),
     'map --direction sideways': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f4dc22296dbd9c1e3a56392543ce80ee6d507edce153fd4170bff0939dfcc976'),
     'matrix': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cdd0aae2a5737aea05a4d7ebdc626cc52a0d4992678cd44c25ece6ac8b64c203'),
     'table --h-max x': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '5e0c17380ef92f48db3d804000a9be8e14032c53d6ed3bcee91e5829030e71fc'),
@@ -279,6 +279,13 @@ def test_golden(command):
 
 def test_every_command_is_pinned():
     assert sorted(GOLDEN) == sorted(commands())
+
+
+@pytest.mark.parametrize("command", ["count --h 3 --n-max 4", "list --h 3 --n 4", "tree --h 3 --depth 4"])
+def test_cap_is_not_an_option(command):
+    # the caps are constants: a cap given on the command line is a usage error
+    rc, out_sha, _ = outcome(command + " --cap 5")
+    assert (rc, out_sha) == (2, hashlib.sha256(b"").hexdigest())
 
 
 if __name__ == "__main__":

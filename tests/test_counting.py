@@ -1,11 +1,7 @@
 import pytest
 
 from dyck312 import dyck, eco, genfunc, prodmat
-from dyck312.counting import LARGE_N_LIMIT, ROUTES, MethodDisagreement, count
-
-
-def reach(route):
-    return LARGE_N_LIMIT if route.cap is None else route.cap
+from dyck312.counting import ROUTES, MethodDisagreement, count
 
 
 @pytest.mark.parametrize("name", ROUTES)
@@ -13,8 +9,8 @@ def test_least_h_is_the_engines_own(name):
     # each row restates its engine's precondition; the engine must agree with it
     route = ROUTES[name]
     with pytest.raises(ValueError):
-        route.engine(route.least_h - 1, 4, 2, reach(route))
-    counts = list(route.engine(route.least_h, 4, 2, reach(route)))
+        route.engine(route.least_h - 1, 4, 2)
+    counts = list(route.engine(route.least_h, 4, 2))
     assert len(counts) == 5
     assert counts[: route.least_h + 1] == [dyck.catalan(n) for n in range(route.least_h + 1)]
 
@@ -54,14 +50,23 @@ def test_clamp_never_lifts_h_past_least(bounds):
         count(2, 1, "eco")
 
 
-def test_cap_sets_the_reach_of_brute_and_eco():
-    for name, n_max in (("brute", 15), ("eco", 13)):  # one past each default cap
+def test_cap_sets_the_reach_of_brute_and_eco(monkeypatch):
+    for name, n_max in (("brute", 15), ("eco", 13)):  # one past each cap
         with pytest.raises(dyck.CapExceeded):
             count(3, n_max, name)
-    assert list(count(3, 7, cap=6)) == ["recurrence", "series", "matrix"]
-    assert list(count(3, 6, cap=6)) == list(ROUTES)
-    with pytest.raises(dyck.CapExceeded):
-        count(3, 6, "brute", cap=5)
+    # brute force at its cap is 2.67 M words; only which routes run is asked here
+    monkeypatch.setattr(
+        dyck, "count_brute", lambda n, h, k=2: genfunc.series(genfunc.generating_function(h), n)[n]
+    )
+    assert list(count(3, dyck.DEFAULT_CAP + 1)) == ["recurrence", "series", "matrix"]
+    assert list(count(3, dyck.DEFAULT_CAP)) == ["recurrence", "series", "matrix", "brute"]
+    assert list(count(3, eco.DEFAULT_TREE_CAP)) == list(ROUTES)
+
+
+def test_unknown_method_names_the_routes():
+    with pytest.raises(ValueError) as info:
+        count(3, 4, "nope")
+    assert str(info.value) == "unknown method 'nope'; choose from recurrence, series, matrix, brute, eco or all"
 
 
 def test_disagreement(monkeypatch):

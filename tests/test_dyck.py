@@ -178,8 +178,9 @@ class TestEnumerate:
                 assert str(p) == p.word
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            dyck.enumerate_dyck(5, cap=4)
+        assert len(dyck.enumerate_dyck(dyck.DEFAULT_CAP)) == dyck.catalan(14)
+        with pytest.raises(CapExceeded, match="^semilength 15 exceeds cap 14$"):
+            dyck.enumerate_dyck(dyck.DEFAULT_CAP + 1)
         with pytest.raises(ValueError):
             dyck.enumerate_dyck(-1)
 
@@ -228,5 +229,5 @@ class TestCountBrute:
         assert (len(results), results.count(True)) == (42, 29)
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            dyck.count_brute(6, 3, 2, cap=5)
+        with pytest.raises(CapExceeded, match="^semilength 15 exceeds cap 14$"):
+            dyck.count_brute(dyck.DEFAULT_CAP + 1, 3, 2)

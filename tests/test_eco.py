@@ -136,8 +136,8 @@ class TestGenerateLevel:
                 assert all(len(word) == 2 * depth for word, _ in kids)
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            next(eco.iter_levels(3, 5, cap=4))
+        with pytest.raises(CapExceeded, match="^level 13 exceeds tree cap 12$"):
+            next(eco.iter_levels(3, eco.DEFAULT_TREE_CAP + 1))
 
     def test_disjoint_and_complete(self):
         for h in (3, 4, 5):
@@ -181,19 +181,18 @@ class TestWalk:
         assert list(eco.walk(3, 0)) == [("", 1)]
 
     @pytest.mark.parametrize(
-        "h, depth, cap, error, message",
+        "h, depth, error, message",
         [
-            (2, 3, 12, ValueError, "the growth operator needs h >= 3, got 2"),
-            (3, -1, 12, ValueError, "depth must be >= 0, got -1"),
-            (3, 5, 4, CapExceeded, "level 5 exceeds tree cap 4"),
-            (3, 13, eco.DEFAULT_TREE_CAP, CapExceeded, "level 13 exceeds tree cap 12"),
+            (2, 3, ValueError, "the growth operator needs h >= 3, got 2"),
+            (3, -1, ValueError, "depth must be >= 0, got -1"),
+            (3, 13, CapExceeded, "level 13 exceeds tree cap 12"),
         ],
     )
-    def test_errors(self, h, depth, cap, error, message):
+    def test_errors(self, h, depth, error, message):
         # raised at the call, before a node is asked for, so a caller can check
         # its arguments before it writes any output
         with pytest.raises(error) as info:
-            eco.walk(h, depth, cap=cap)
+            eco.walk(h, depth)
         assert str(info.value) == message
 
 
@@ -205,18 +204,17 @@ class TestLevelSizes:
                 assert eco.level_sizes(h, n_max) == [sizes[n] for n in range(n_max + 1)]
 
     @pytest.mark.parametrize(
-        "h, n_max, cap, error, message",
+        "h, n_max, error, message",
         [
-            (2, 3, 12, ValueError, "the growth operator needs h >= 3, got 2"),
-            (3, -1, 12, ValueError, "n_max must be >= 0, got -1"),
-            (3, 5, 4, CapExceeded, "level 5 exceeds tree cap 4"),
-            (3, 13, eco.DEFAULT_TREE_CAP, CapExceeded, "level 13 exceeds tree cap 12"),
+            (2, 3, ValueError, "the growth operator needs h >= 3, got 2"),
+            (3, -1, ValueError, "n_max must be >= 0, got -1"),
+            (3, 13, CapExceeded, "level 13 exceeds tree cap 12"),
         ],
     )
-    def test_errors(self, h, n_max, cap, error, message):
+    def test_errors(self, h, n_max, error, message):
         # the walk's checks, so the CLI's eco route reports what it reported
         with pytest.raises(error) as info:
-            eco.level_sizes(h, n_max, cap=cap)
+            eco.level_sizes(h, n_max)
         assert str(info.value) == message
 
 

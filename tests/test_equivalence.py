@@ -111,12 +111,12 @@ def ref_perm_to_path(pi: Permutation) -> DyckPath:
     return DyckPath("".join(parts))
 
 
-def ref_enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
+def ref_enumerate_dyck(n: int) -> list[DyckPath]:
     """All paths of semilength n, in lexicographic word order ('D' < 'U')."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceeded(f"semilength {n} exceeds cap {cap}")
+    if n > DEFAULT_CAP:
+        raise CapExceeded(f"semilength {n} exceeds cap {DEFAULT_CAP}")
     words: list[str] = []
     _fill([], 0, n, words)
     return [DyckPath(w) for w in words]
@@ -248,15 +248,15 @@ def test_enumerate_dyck_same_words_in_the_same_order():
         assert list(dyck.enumerate_dyck(n)) == ref_enumerate_dyck(n), n
 
 
-@pytest.mark.parametrize("n, cap", [(-1, DEFAULT_CAP), (DEFAULT_CAP + 1, DEFAULT_CAP), (5, 4), (0, -1)])
-def test_enumerate_dyck_errors(n, cap):
-    assert outcome(dyck.enumerate_dyck, n, cap) == outcome(ref_enumerate_dyck, n, cap)
-    assert isinstance(outcome(dyck.enumerate_dyck, n, cap), tuple)
+@pytest.mark.parametrize("n", [-1, DEFAULT_CAP + 1])
+def test_enumerate_dyck_errors(n):
+    assert outcome(dyck.enumerate_dyck, n) == outcome(ref_enumerate_dyck, n)
+    assert isinstance(outcome(dyck.enumerate_dyck, n), tuple)
 
 
 def ref_list_json(h: int, n: int, kind: str) -> str:
     """The list document built whole, then dumped: level n from the breadth-first levels."""
-    *_, level = eco.iter_levels(h, n, cap=n)
+    *_, level = eco.iter_levels(h, n)
     objects = [{"object": cli._render(word, kind), "label": label} for word, label in level]
     doc = {"schema_version": 1, "command": "list", "h": h, "n": n, "kind": kind, "objects": objects}
     return json.dumps(doc, indent=2) + "\n"
@@ -298,8 +298,3 @@ def test_streamed_tree_json(capsys, tmp_path, h, kind):
         argv = ["tree", "--h", str(h), "--depth", str(depth), "--kind", kind, "--format", "json"]
         assert streamed(capsys, tmp_path, *argv) == ref_tree_json(h, depth, kind), depth
 
-
-def test_streamed_list_json_past_the_default_cap(capsys, tmp_path):
-    n = eco.DEFAULT_TREE_CAP + 1
-    argv = ["list", "--h", "3", "--n", str(n), "--cap", str(n), "--format", "json"]
-    assert streamed(capsys, tmp_path, *argv) == ref_list_json(3, n, "paths")
