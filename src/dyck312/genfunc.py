@@ -12,6 +12,7 @@ multiplication and is checked exact.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .dyck import catalan
 
@@ -86,15 +87,13 @@ def series(f: tuple[tuple[int, ...], tuple[int, ...]], n_max: int) -> tuple[int,
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     p, q = f
-    q0 = q[0] if q else 0
+    q0, tail = (q[0] if q else 0), q[1:]
     if q0 not in (1, -1):
         raise NonUnitConstantTerm(f"denominator constant term is {q0}")
     out: list[int] = []
-    for n in range(n_max + 1):
+    for n in range(n_max + 1):  # map stops at the shorter: q[i] * out[n-i], i = 1..min(n, deg q)
         acc = p[n] if n < len(p) else 0
-        for i in range(1, min(n, len(q) - 1) + 1):
-            acc -= q[i] * out[n - i]
-        out.append(acc // q0)
+        out.append((acc - sum(map(mul, tail, reversed(out)))) // q0)
     return tuple(out)
 
 
@@ -109,14 +108,11 @@ def count_sequence(h: int, n_max: int) -> tuple[int, ...]:
         raise ValueError(f"recurrence needs h >= 2, got {h}; height 1 is the 1+x series")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    jmax = (h + 2) // 2
-    coeffs = [denominator_coeff(h, j) for j in range(1, jmax + 1)]
+    # coefficients past (h+2)//2 vanish, and those past n_max are never read
+    coeffs = [denominator_coeff(h, j) for j in range(1, min((h + 2) // 2, n_max) + 1)]
     counts = [1]
-    for m in range(1, n_max + 1):
-        acc = 0
-        for j in range(1, min(jmax, m) + 1):
-            acc += coeffs[j - 1] * counts[m - j]
-        counts.append(acc - _coeff(h - 1, m))
+    for m in range(1, n_max + 1):  # coeffs[j-1] * counts[m-j], j = 1..min(len(coeffs), m)
+        counts.append(sum(map(mul, coeffs, reversed(counts))) - _coeff(h - 1, m))
     return tuple(counts)
 
 

@@ -1,13 +1,13 @@
 """Production matrices for the succession rules: explicit block construction,
-construction from a rule, and level counting by a row-vector product read
-from the differences between adjacent columns."""
+construction from a rule, and level counting by a matrix-vector product read
+from the differences between adjacent rows."""
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import compress
-from operator import sub
+from itertools import accumulate, compress
+from operator import mul, sub
 
 from .eco import Label, SuccessionRule
 
@@ -78,48 +78,52 @@ def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
     return ProductionMatrix(tuple(tuple(t[j] for j in labels) for t in tallies))
 
 
-def _level_vectors(matrix: ProductionMatrix, axiom: Label, n_max: int) -> Iterator[list[int]]:
-    """Label counts of levels 0..n_max: the axiom's unit row vector, then one
-    row-vector product with the matrix per level.
-
-    The product runs right to left over the columns: new[j] = new[j+1] +
-    sum_i vec[i] * (M[i][j] - M[i][j+1]), with M[i][d] = 0. Only the nonzero
-    differences are kept, so a level costs O(d + their number): O(d) for the
-    height-h matrix, whose rows are runs of equal entries.
-    """
+def _check(matrix: ProductionMatrix, axiom: Label, n_max: int) -> int:
+    """The matrix's dimension, once the axiom and the level are known valid."""
     d = matrix.dimension
     if not 1 <= axiom <= d:
         raise ValueError(f"axiom ({axiom}) outside 1..{d}")
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    diffs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for i, row in enumerate(matrix.rows):
-        steps = list(map(sub, row, row[1:] + (0,)))
-        for j in compress(range(d), steps):
-            diffs[j].append((i, steps[j]))
-    vec = [0] * d
-    vec[axiom - 1] = 1
+    return d
+
+
+def _sweep(rows: tuple[tuple[int, ...], ...], vec: list[int], n_max: int) -> Iterator[list[int]]:
+    """vec, then M vec, M M vec, ...: n_max products with the matrix M of rows.
+
+    Row i is row i-1 (row -1 is zero) plus its difference, so (M x)[i] is a
+    running sum over rows 0..i of each difference times x. The nonzero
+    differences, and one of weight 0 for a row with none, are gathered once; a
+    level is one accumulate over them, read at each row's last entry. The
+    height-h matrix's rows each differ from the row above in one entry, by 1."""
+    d = len(rows)
+    cols, weights, last = [], [], []  # type: list[int], list[int], list[bool]
+    for prev, row in zip(((0,) * d, *rows), rows):
+        steps = list(map(sub, row, prev))
+        nonzero = list(compress(range(d), steps)) or [0]
+        cols += nonzero
+        weights += map(steps.__getitem__, nonzero)
+        last += [False] * (len(nonzero) - 1) + [True]
+    unit = weights.count(1) == len(weights)
     yield vec
     for _ in range(n_max):
-        new = [0] * d
-        acc = 0
-        for j in range(d - 1, -1, -1):
-            for i, delta in diffs[j]:
-                acc += vec[i] * delta
-            new[j] = acc
-        vec = new
+        terms = map(vec.__getitem__, cols)
+        vec = list(compress(accumulate(terms if unit else map(mul, weights, terms)), last))
         yield vec
 
 
 def level_count(matrix: ProductionMatrix, axiom: Label, n: int) -> tuple[int, LevelVector]:
-    """Level-n label counts: the axiom's unit row vector times the matrix n
-    times, each product read from the column differences, plus its entry
-    sum."""
-    for vec in _level_vectors(matrix, axiom, n):
+    """Level-n label counts, plus their sum: the axiom's unit row vector times
+    the matrix n times, swept as the transpose times the column vector."""
+    vec = [int(i == axiom - 1) for i in range(_check(matrix, axiom, n))]
+    for vec in _sweep(tuple(zip(*matrix.rows)), vec, n):
         pass
     return sum(vec), tuple(vec)
 
 
 def level_totals(matrix: ProductionMatrix, axiom: Label, n_max: int) -> tuple[int, ...]:
-    """Level sizes 0..n_max in one sweep."""
-    return tuple(sum(vec) for vec in _level_vectors(matrix, axiom, n_max))
+    """Level sizes 0..n_max in one sweep, by subtree sizes: entry i of
+    S_m = M S_(m-1), from S_0 all ones, counts the level-m descendants of a
+    node labelled i+1, so the axiom's entry is the size of level m."""
+    ones = [1] * _check(matrix, axiom, n_max)
+    return tuple(vec[axiom - 1] for vec in _sweep(matrix.rows, ones, n_max))

@@ -182,6 +182,22 @@ class TestCountRecurrence:
         with pytest.raises(ValueError):
             genfunc.count_sequence(1, 3)
 
+    def test_reads_only_the_coefficients_it_uses(self, monkeypatch):
+        # d(1000) has 501 coefficients; sizes 0..3 use the first three
+        calls = []
+        real = genfunc.denominator_coeff
+
+        def counted(h, j):
+            calls.append(j)
+            return real(h, j)
+
+        monkeypatch.setattr(genfunc, "denominator_coeff", counted)
+        assert genfunc.count_sequence(1000, 3) == (1, 1, 2, 5)
+        assert len(calls) <= 3
+        calls.clear()
+        assert genfunc.count_sequence(1000, 0) == (1,)
+        assert calls == []
+
 
 class TestCatalanIdentity:
     def test_examples(self):

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from dyck312 import dyck, eco, genfunc, prodmat
 from dyck312.eco import SuccessionRule
@@ -95,6 +95,12 @@ def matrix_axiom_n(draw):
 
 class TestLevelCount:
     @given(matrix_axiom_n())
+    @example(([[1, 2], [0, 0]], 1, 6))  # a label with no children
+    @example(([[0, 0, 1], [2, 1, 1], [1, 0, 3]], 2, 6))  # rows below smaller rows
+    @example(([[0]], 1, 3))  # d = 1, no children
+    @example(([[3]], 1, 6))  # d = 1
+    @example(([[0, 1, 0], [0, 1, 1], [0, 2, 1]], 3, 6))  # axiom = d
+    @example(([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 2))  # every row zero
     def test_matches_dense_product(self, case):
         rows, axiom, n = case
         m = ProductionMatrix(rows)
@@ -123,6 +129,12 @@ class TestLevelCount:
             m = prodmat.production_matrix(h)
             assert prodmat.level_totals(m, 1, 16) == genfunc.count_sequence(h, 16)
 
+    @pytest.mark.parametrize("h, n", [(64, 64), (97, 512), (128, 128), (192, 192), (512, 512)])
+    def test_exact_routes_agree_at_workload_sizes(self, h, n):
+        totals = prodmat.level_totals(prodmat.production_matrix(h), 1, n)
+        assert totals == genfunc.count_sequence(h, n)
+        assert totals == genfunc.series(genfunc.generating_function(h), n)
+
     def test_matches_brute(self):
         for h in range(2, 6):
             m = prodmat.production_matrix(h)
@@ -146,3 +158,13 @@ class TestLevelCount:
             prodmat.level_count(m, 0, 2)
         with pytest.raises(ValueError):
             prodmat.level_count(m, 4, 2)
+
+    @pytest.mark.parametrize("fn", [prodmat.level_count, prodmat.level_totals])
+    def test_argument_messages(self, fn):
+        m = prodmat.production_matrix(3)
+        with pytest.raises(ValueError, match=r"^axiom \(0\) outside 1\.\.3$"):
+            fn(m, 0, 2)
+        with pytest.raises(ValueError, match=r"^axiom \(4\) outside 1\.\.3$"):
+            fn(m, 4, 2)
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            fn(m, 1, -1)
