@@ -29,21 +29,24 @@ def path_to_perm(p: DyckPath) -> Permutation:
 
 
 def perm_to_path(pi: Permutation) -> DyckPath:
-    """Inverse map via the descending-run factorization.
-
-    Each left-to-right maximum heads a descending run; emit ups for the jump
-    between consecutive maxima and downs for the run size.
-    """
-    _require_avoids_312(pi)
+    """Inverse map: path_to_perm's stack, run from the permutation as in
+    perm.avoids_312. A new maximum pushes every value up to it, one up step
+    each; each entry pops itself, one down step; a pop that is not the entry
+    is a 312. The steps are emitted as run lengths."""
+    stack: list[int] = []
     parts: list[str] = []
-    best = 0
-    head = 1  # position of the maximum heading the current run
-    for i, v in enumerate(pi.entries, start=1):
-        if v > best:
+    top = 0  # the largest entry so far: 1..top have been pushed
+    head = 0  # position of the maximum heading the current run
+    for i, v in enumerate(pi.entries):
+        if v > top:
             parts.append("D" * (i - head))
-            parts.append("U" * (v - best))
-            best, head = v, i
-    parts.append("D" * (len(pi.entries) + 1 - head))
+            parts.append("U" * (v - top))
+            if v > top + 1:
+                stack.extend(range(top + 1, v))
+            top, head = v, i
+        elif stack.pop() != v:
+            raise Not312Avoiding(_contains_312(pi))
+    parts.append("D" * (len(pi.entries) - head))
     return DyckPath("".join(parts))
 
 
@@ -54,8 +57,12 @@ def lrm_heights(pi: Permutation) -> list[tuple[LrMaximum, int]]:
     return [(m, m.value - m.index) for m in left_to_right_maxima(pi)]
 
 
+def _contains_312(pi: Permutation) -> str:
+    return f"'{pi}' contains 312"
+
+
 def _require_avoids_312(pi: Permutation) -> None:
     """Raise Not312Avoiding unless pi avoids 312: the operand check of
-    perm_to_path and lrm_heights, also made on map's lines left unmapped."""
+    lrm_heights, also made on map's lines left unmapped."""
     if not avoids_312(pi):
-        raise Not312Avoiding(f"'{pi}' contains 312")
+        raise Not312Avoiding(_contains_312(pi))

@@ -63,6 +63,20 @@ def parse_path(text: str) -> DyckPath:
     first offending index.
     """
     level = 0
+    for c in text:
+        if c == "U":
+            level += 1
+        elif c == "D":
+            level -= 1
+            if level < 0:
+                break
+        else:
+            break
+    else:
+        if not level:
+            return DyckPath(text)
+    # invalid: the loop again, now with the indices, to name the first fault
+    level = 0
     base = 0  # index of the latest up step taken from the axis
     for i, c in enumerate(text):
         if c == "U":
@@ -75,9 +89,7 @@ def parse_path(text: str) -> DyckPath:
                 raise NegativePrefix(i)
         else:
             raise InvalidCharacter(i, c)
-    if level:  # no return to the axis after base: it is the first unmatched up
-        raise Unbalanced(base)
-    return DyckPath(text)
+    raise Unbalanced(base)  # no return to the axis after base: it is the first unmatched up
 
 
 def height(p: DyckPath) -> int:

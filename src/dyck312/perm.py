@@ -106,25 +106,26 @@ def _integer(token: str) -> int:
 
 
 def _avoids_312_seq(entries) -> bool:
-    # Right-to-left scan. `mid` is a value known to have a smaller entry
-    # somewhere to its left; any larger value still further left completes
-    # big-small-mid, i.e. an occurrence of 312.
-    mid = 0
+    # a new maximum pushes every value up to it and pops itself; any other
+    # entry must be the one popped
     stack: list[int] = []
-    for v in reversed(entries):
-        if mid and v > mid:
+    top = 0  # the largest entry so far: 1..top have been pushed
+    for v in entries:
+        if v > top:
+            if v > top + 1:  # often v is top + 1, and nothing stays pushed
+                stack.extend(range(top + 1, v))
+            top = v
+        elif stack.pop() != v:  # v < top, pushed and not yet popped: the stack holds it
             return False
-        while stack and stack[-1] > v:
-            mid = stack.pop()
-        stack.append(v)
     return True
 
 
 def avoids_312(pi: Permutation) -> bool:
     """True iff no indices a<b<c have entries[a] > entries[c] > entries[b].
 
-    Single-pass stack scan; avoids_312_cubic is the literal cubic definition
-    kept as the cross-validation oracle.
+    One left-to-right pass of a stack fed 1..n, which can put pi out exactly
+    when pi avoids 312 (Knuth, TAOCP Vol. 1, 2.2.1, Ex. 5); avoids_312_cubic
+    is the literal cubic definition kept as the cross-validation oracle.
     """
     return _avoids_312_seq(pi.entries)
 
@@ -180,7 +181,8 @@ def in_height_class(pi: Permutation, h: int) -> bool:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    return avoids_312(pi) and _maxima_scan(pi.entries, h)[0] <= h - 1
+    # the excess test first: it is cheaper, and a height one too low fails on it alone
+    return _maxima_scan(pi.entries, h)[0] <= h - 1 and avoids_312(pi)
 
 
 def in_class(pi: Permutation, h: int) -> bool:
@@ -194,7 +196,5 @@ def in_class(pi: Permutation, h: int) -> bool:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    if not avoids_312(pi):
-        return False
     top, pair = _maxima_scan(pi.entries, h)
-    return top <= h - 1 and not pair
+    return top <= h - 1 and not pair and avoids_312(pi)

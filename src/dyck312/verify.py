@@ -103,7 +103,10 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
         if len(avoiders) != dyck.catalan(n):
             perm_bad.append(f"count at n={n}")
         for pi in avoiders:
-            if bijection.path_to_perm(bijection.perm_to_path(pi)) != pi:
+            try:
+                if bijection.path_to_perm(bijection.perm_to_path(pi)) != pi:
+                    perm_bad.append(str(pi))
+            except bijection.Not312Avoiding:  # its own stack found a 312 that avoids_312 missed
                 perm_bad.append(str(pi))
 
         for h in range(1, n + 2):

@@ -97,7 +97,8 @@ def ref_in_class(pi: Permutation, h: int) -> bool:
 
 
 def ref_perm_to_path(pi: Permutation) -> DyckPath:
-    if not perm.avoids_312(pi):
+    # the literal definition: perm_to_path's stack is also avoids_312's
+    if not perm.avoids_312_cubic(pi):
         raise Not312Avoiding(f"'{pi}' contains 312")
     maxima = left_to_right_maxima(pi)
     n = len(pi.entries)
@@ -167,7 +168,41 @@ def test_perm_to_path(pi):
     assert outcome(bijection.perm_to_path, pi) == outcome(ref_perm_to_path, pi)
 
 
-@given(st.one_of(st.text("UD", max_size=40), st.text("UDX", max_size=40), dyck_words(20)))
+def random_dyck_word(rng, n: int) -> str:
+    """A uniform Dyck word of semilength n: of the rotations of a shuffle of n
+    ups and n+1 downs, the one after the first lowest point, less its last down
+    (the cycle lemma)."""
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    level = low = cut = 0
+    for i, c in enumerate(steps):
+        level += 1 if c == "U" else -1
+        if level < low:
+            low, cut = level, i + 1
+    return "".join(steps[cut:] + steps[: cut - 1])
+
+
+@st.composite
+def long_words(draw):
+    """A Dyck word of semilength up to 300, valid or with one fault: a bad
+    character or an extra 'D' at a drawn position, a leading 'D', or its final
+    'D' dropped. But for a leading 'D', parse_path's first loop runs far
+    before the error sends it to the loop that names it."""
+    word = random_dyck_word(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 300)))
+    i = draw(st.integers(0, len(word) - 1))
+    fault = draw(st.sampled_from(["none", "char", "leading", "dropped", "extra"]))
+    if fault == "char":
+        return word[:i] + draw(st.sampled_from("xu d\n\u00dc")) + word[i + 1:]
+    if fault == "leading":
+        return "D" + word
+    if fault == "dropped":
+        return word[:-1]
+    if fault == "extra":
+        return word[:i] + "D" + word[i:]
+    return word
+
+
+@given(st.one_of(st.text("UD", max_size=40), st.text("UDX", max_size=40), dyck_words(20), long_words()))
 def test_parse_path(text):
     assert outcome(dyck.parse_path, text) == outcome(ref_parse_path, text)
 
