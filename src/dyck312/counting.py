@@ -27,9 +27,7 @@ def _brute(h: int, n_max: int, k: int) -> list[int]:
 ROUTES = {
     "recurrence": Route(2, None, lambda h, n, *_: genfunc.count_sequence(h, n)),
     "series": Route(1, None, lambda h, n, *_: genfunc.series(genfunc.generating_function(h), n)),
-    "matrix": Route(
-        2, None, lambda h, n, *_: prodmat.level_totals(prodmat.production_matrix(h), 1, n)
-    ),
+    "matrix": Route(2, None, lambda h, n, *_: prodmat.height_totals(h, n)),
     "brute": Route(1, dyck.DEFAULT_CAP, _brute),
     "eco": Route(3, eco.DEFAULT_TREE_CAP, lambda h, n, *_: eco.level_sizes(h, n)),
 }

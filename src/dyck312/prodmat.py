@@ -1,18 +1,24 @@
-"""Production matrices for the succession rules: explicit block construction,
-construction from a rule, and level counting by a matrix-vector product read
-from the differences between adjacent rows."""
+"""Production matrices for the succession rules: the block construction,
+stated on the differences between adjacent rows, the construction from a
+rule, and level counting by a matrix-vector product read from those
+differences. A level computes only the rows that later levels read. The
+height-h route, height_totals, sweeps the block construction's differences
+directly and builds no matrix."""
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import mul, sub
 
 from .eco import Label, SuccessionRule
 
 # counts per label at one tree level; index i holds the count for label i+1
 LevelVector = tuple[int, ...]
+# a matrix by its row differences, row by row: the column and weight of each
+# nonzero difference, and whether it is its row's last
+Differences = tuple[list[int], list[int], list[bool]]
 
 
 class NonContiguousLabels(ValueError):
@@ -42,24 +48,35 @@ class ProductionMatrix(namedtuple("ProductionMatrix", "rows")):
         return len(self.rows)
 
 
+def _height_steps(h: int) -> list[int]:
+    """Row i of the height-h matrix is row i-1 (row -1 is zero) plus 1 at
+    the column in entry i: the block recursion, stated on row differences.
+
+    Each step borders the matrix with a zero column on the left, which shifts
+    every row's difference one column right. The +1 it adds to the inner
+    block's first column cancels between adjacent inner rows, and between
+    inner row 0 and the new unit top row, whose own difference is +1 at
+    column 1. So from h = 2's [1, 0] the steps are [1, 2, ..., h-1, h-2].
+    """
+    if h < 2:
+        raise ValueError(f"defined for h >= 2, got {h}")
+    return [*range(1, h), h - 2]
+
+
 def production_matrix(h: int) -> ProductionMatrix:
     """Block-recursive matrix of the height-h rule.
 
     Base [[0, 1], [1, 1]] for h = 2; each step borders the previous matrix
     with a unit row on top, a zero column on the left, and adds one to the
-    first column of the inner block.
+    first column of the inner block. The rows are the prefix sums of the
+    row differences that _height_steps derives from this recursion, and
+    which height_totals sweeps without building the matrix.
     """
-    if h < 2:
-        raise ValueError(f"defined for h >= 2, got {h}")
-    # rows bottom-up, each reversed, so the new top row and the new left
-    # column are appends and each step costs O(d)
-    rows = [[1, 1], [1, 0]]
-    for d in range(3, h + 1):
-        for r in rows:
-            r[-1] += 1
-            r.append(0)
-        rows.append([0] * (d - 2) + [1, 0])
-    return ProductionMatrix(tuple(tuple(reversed(r)) for r in reversed(rows)))
+    row, rows = [0] * h, []
+    for col in _height_steps(h):
+        row[col] += 1
+        rows.append(tuple(row))
+    return ProductionMatrix(tuple(rows))
 
 
 def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
@@ -78,9 +95,8 @@ def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
     return ProductionMatrix(tuple(tuple(t[j] for j in labels) for t in tallies))
 
 
-def _check(matrix: ProductionMatrix, axiom: Label, n_max: int) -> int:
-    """The matrix's dimension, once the axiom and the level are known valid."""
-    d = matrix.dimension
+def _check(d: int, axiom: Label, n_max: int) -> int:
+    """The dimension d, once the axiom and the level are known valid."""
     if not 1 <= axiom <= d:
         raise ValueError(f"axiom ({axiom}) outside 1..{d}")
     if n_max < 0:
@@ -88,14 +104,9 @@ def _check(matrix: ProductionMatrix, axiom: Label, n_max: int) -> int:
     return d
 
 
-def _sweep(rows: tuple[tuple[int, ...], ...], vec: list[int], n_max: int) -> Iterator[list[int]]:
-    """vec, then M vec, M M vec, ...: n_max products with the matrix M of rows.
-
-    Row i is row i-1 (row -1 is zero) plus its difference, so (M x)[i] is a
-    running sum over rows 0..i of each difference times x. The nonzero
-    differences, and one of weight 0 for a row with none, are gathered once; a
-    level is one accumulate over them, read at each row's last entry. The
-    height-h matrix's rows each differ from the row above in one entry, by 1."""
+def _differences(rows: tuple[tuple[int, ...], ...]) -> Differences:
+    """Each row minus the row above (row -1 is zero), at its nonzero columns;
+    a row with none gets one difference of weight 0 at column 0."""
     d = len(rows)
     cols, weights, last = [], [], []  # type: list[int], list[int], list[bool]
     for prev, row in zip(((0,) * d, *rows), rows):
@@ -104,10 +115,30 @@ def _sweep(rows: tuple[tuple[int, ...], ...], vec: list[int], n_max: int) -> Ite
         cols += nonzero
         weights += map(steps.__getitem__, nonzero)
         last += [False] * (len(nonzero) - 1) + [True]
+    return cols, weights, last
+
+
+def _sweep(steps: Differences, vec: list[int], n_max: int, reads: int) -> Iterator[list[int]]:
+    """vec, then M vec, M M vec, ...: n_max products with the matrix M of the
+    differences, each cut to the rows that the last level's first `reads`
+    rows depend on.
+
+    Row i of M sums the differences in rows 0..i, so a level is one running
+    sum of each difference times x, read at each row's last. Rows 0..k-1 read
+    x up to the largest column R(k-1) with a difference in them, so the level
+    before needs max(k, R(k-1) + 1) rows, at most all of them."""
+    cols, weights, last = steps
+    d = len(vec)
+    reach = list(compress(accumulate(cols, max), last))  # R(i)
+    ends = list(compress(range(1, len(cols) + 1), last))  # differences in rows 0..i
+    need = [reads]  # rows needed at level n_max, n_max - 1, ...
+    for _ in range(n_max):
+        k = need[-1]
+        need.append(min(d, max(k, reach[k - 1] + 1)))
     unit = weights.count(1) == len(weights)
     yield vec
-    for _ in range(n_max):
-        terms = map(vec.__getitem__, cols)
+    for t in range(n_max - 1, -1, -1):
+        terms = map(vec.__getitem__, islice(cols, ends[need[t] - 1]))
         vec = list(compress(accumulate(terms if unit else map(mul, weights, terms)), last))
         yield vec
 
@@ -115,8 +146,9 @@ def _sweep(rows: tuple[tuple[int, ...], ...], vec: list[int], n_max: int) -> Ite
 def level_count(matrix: ProductionMatrix, axiom: Label, n: int) -> tuple[int, LevelVector]:
     """Level-n label counts, plus their sum: the axiom's unit row vector times
     the matrix n times, swept as the transpose times the column vector."""
-    vec = [int(i == axiom - 1) for i in range(_check(matrix, axiom, n))]
-    for vec in _sweep(tuple(zip(*matrix.rows)), vec, n):
+    d = _check(matrix.dimension, axiom, n)
+    vec = [int(i == axiom - 1) for i in range(d)]
+    for vec in _sweep(_differences(tuple(zip(*matrix.rows))), vec, n, d):
         pass
     return sum(vec), tuple(vec)
 
@@ -125,5 +157,16 @@ def level_totals(matrix: ProductionMatrix, axiom: Label, n_max: int) -> tuple[in
     """Level sizes 0..n_max in one sweep, by subtree sizes: entry i of
     S_m = M S_(m-1), from S_0 all ones, counts the level-m descendants of a
     node labelled i+1, so the axiom's entry is the size of level m."""
-    ones = [1] * _check(matrix, axiom, n_max)
-    return tuple(vec[axiom - 1] for vec in _sweep(matrix.rows, ones, n_max))
+    ones = [1] * _check(matrix.dimension, axiom, n_max)
+    steps = _differences(matrix.rows)
+    return tuple(vec[axiom - 1] for vec in _sweep(steps, ones, n_max, axiom))
+
+
+def height_totals(h: int, n_max: int) -> tuple[int, ...]:
+    """level_totals(production_matrix(h), 1, n_max), swept on the matrix's
+    row differences with no h x h matrix built. Row i adds 1 at column i + 1,
+    the last row at h - 2, so R(i) = min(i + 1, h - 1): the sweep computes one
+    row more per level back from the last, about half the rows at n_max = h."""
+    steps = _height_steps(h), [1] * h, [True] * h
+    ones = [1] * _check(h, 1, n_max)
+    return tuple(vec[0] for vec in _sweep(steps, ones, n_max, 1))

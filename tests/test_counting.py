@@ -31,7 +31,7 @@ def bounds(monkeypatch):
 
     spy(genfunc, "count_sequence", "recurrence")
     spy(genfunc, "generating_function", "series")
-    spy(prodmat, "production_matrix", "matrix")
+    spy(prodmat, "height_totals", "matrix")
     spy(dyck, "count_brute", "brute", h_arg=1)
     spy(eco, "level_sizes", "eco")
     return seen
@@ -41,6 +41,14 @@ def test_library_call_clamps_h(bounds):
     # at n <= h every count is Catalan, so h = 10**6 runs each route at n_max = 3
     assert count(10**6, 3) == {name: [1, 1, 2, 5] for name in ROUTES}
     assert bounds == {name: {max(3, route.least_h)} for name, route in ROUTES.items()}
+
+
+def test_matrix_route_builds_no_matrix(monkeypatch):
+    def refuse(h):
+        raise AssertionError(f"production_matrix({h}) built on the count route")
+
+    monkeypatch.setattr(prodmat, "production_matrix", refuse)
+    assert count(512, 512, "matrix") == {"matrix": list(genfunc.count_sequence(512, 512))}
 
 
 def test_clamp_never_lifts_h_past_least(bounds):

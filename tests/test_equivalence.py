@@ -81,7 +81,8 @@ def ref_parse_perm(text: str) -> Permutation:
 
 
 def ref_in_height_class(pi: Permutation, h: int) -> bool:
-    if not perm.avoids_312(pi):
+    # the literal definition, not the stack scan that in_class runs
+    if not perm.avoids_312_cubic(pi):
         return False
     return all(m.value - m.index <= h - 1 for m in left_to_right_maxima(pi))
 

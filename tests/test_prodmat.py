@@ -101,12 +101,26 @@ class TestLevelCount:
     @example(([[3]], 1, 6))  # d = 1
     @example(([[0, 1, 0], [0, 1, 1], [0, 2, 1]], 3, 6))  # axiom = d
     @example(([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 2))  # every row zero
+    @example(([[1, 0, 0], [1, 0, 0], [1, 0, 0]], 3, 6))  # reach falls below the axiom
+    @example(([[0, 0, 1], [0, 0, 1], [1, 1, 1]], 1, 6))  # row 0 reaches the last column
     def test_matches_dense_product(self, case):
         rows, axiom, n = case
         m = ProductionMatrix(rows)
         levels = _dense_levels(rows, axiom, n)
         assert prodmat.level_totals(m, axiom, n) == tuple(sum(v) for v in levels)
         assert prodmat.level_count(m, axiom, n) == (sum(levels[n]), tuple(levels[n]))
+
+    def test_height_route_matches_the_matrix(self):
+        for h in range(2, 65):
+            m = prodmat.production_matrix(h)
+            for n in (0, 1, h - 1, h, h + 1, 3 * h):
+                assert prodmat.height_totals(h, n) == prodmat.level_totals(m, 1, n), (h, n)
+
+    def test_height_route_arguments(self):
+        with pytest.raises(ValueError, match=r"^defined for h >= 2, got 1$"):
+            prodmat.height_totals(1, 2)
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            prodmat.height_totals(3, -1)
 
     def test_level_zero(self):
         m = prodmat.production_matrix(4)
@@ -132,6 +146,7 @@ class TestLevelCount:
     @pytest.mark.parametrize("h, n", [(64, 64), (97, 512), (128, 128), (192, 192), (512, 512)])
     def test_exact_routes_agree_at_workload_sizes(self, h, n):
         totals = prodmat.level_totals(prodmat.production_matrix(h), 1, n)
+        assert totals == prodmat.height_totals(h, n)
         assert totals == genfunc.count_sequence(h, n)
         assert totals == genfunc.series(genfunc.generating_function(h), n)
 
