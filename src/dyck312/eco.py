@@ -43,17 +43,19 @@ def _require_h(h: int) -> None:
 
 
 def _require_member(p: DyckPath, h: int) -> None:
+    _require_h(h)
     if not dyck.in_class(p, h, 2):
         raise NotInClass(f"path {p.word!r} is not in the height-{h} class")
 
 
+def _require_perm_member(pi: Permutation, h: int) -> None:
+    _require_h(h)
+    if not perm.in_class(pi, h):
+        raise NotInClass(f"permutation '{pi}' is not in the height-{h} class")
+
+
 def _initial_ups(word: str) -> int:
-    t = 0
-    for c in word:
-        if c != "U":
-            break
-        t += 1
-    return t
+    return len(word) - len(word.lstrip("U"))
 
 
 def _label(run: int, h: int) -> Label:
@@ -84,7 +86,6 @@ def grow(word: str, h: int) -> list[tuple[str, Label]]:
 
 def children(p: DyckPath, h: int) -> list[DyckPath]:
     """Insert a UD peak at each active site, in site order (see grow)."""
-    _require_h(h)
     _require_member(p, h)
     return [DyckPath(w) for w, _ in grow(p.word, h)]
 
@@ -92,7 +93,6 @@ def children(p: DyckPath, h: int) -> list[DyckPath]:
 def label_of(p: DyckPath, h: int) -> Label:
     """Tree label: 1 for the empty path, t+1 for t <= h-1 initial ups, h-1
     when the initial run has length exactly h."""
-    _require_h(h)
     _require_member(p, h)
     return _label(_initial_ups(p.word), h)
 
@@ -198,9 +198,7 @@ def perm_children(pi: Permutation, h: int) -> list[Permutation]:
     """Prepend each value 1.._sites(f, h) in ascending order, f the first entry
     (0 when empty), shifting the entries >= it up by one: 1..f+1 when f < h,
     1..h-1 when f = h, and the empty permutation grows into the singleton."""
-    _require_h(h)
-    if not perm.in_class(pi, h):
-        raise NotInClass(f"permutation '{pi}' is not in the height-{h} class")
+    _require_perm_member(pi, h)
     e = pi.entries
     out: list[Permutation] = []
     # ell before 1..n shifted past it rearranges 1..n+1
@@ -213,7 +211,5 @@ def perm_children(pi: Permutation, h: int) -> list[Permutation]:
 def perm_label(pi: Permutation, h: int) -> Label:
     """Tree label of a permutation: 1 when empty, first entry + 1, except h-1
     when the first entry is h. Agrees with grow()'s labels across the bijection."""
-    _require_h(h)
-    if not perm.in_class(pi, h):
-        raise NotInClass(f"permutation '{pi}' is not in the height-{h} class")
+    _require_perm_member(pi, h)
     return _label(pi.entries[0] if pi.entries else 0, h)

@@ -3,10 +3,12 @@
 The counting series for height bound h is a quotient of integer polynomials:
 the denominator family satisfies d(h) = d(h-1) - x*d(h-2), and the series for
 bound h is d(h-1)/d(h). The seeds d(0) = 1 + x and d(1) = 1 start the family,
-so height 1 is no special case: its series is (1 + x)/1. A polynomial is a
-tuple of integer coefficients, index = power of x, trailing zeros stripped.
-Everything here is integer arithmetic; each division happens after full
-multiplication and is checked exact.
+so height 1 is no special case: its series is (1 + x)/1. series() is the one
+expansion of the quotient; the series route feeds it the recurrence's
+polynomials, count_sequence those of the closed form _coeff. A polynomial is
+a tuple of integer coefficients, index = power of x. Everything here is
+integer arithmetic; each division happens after full multiplication and is
+checked exact.
 """
 
 from __future__ import annotations
@@ -31,19 +33,6 @@ def _binom(m: int, r: int) -> int:
     if m < 0 or r < 0 or r > m:
         return 0
     return math.comb(m, r)
-
-
-def _denominators(h: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(d(h-1), d(h)) for h >= 1, from one sweep of the recurrence."""
-    prev, cur = (1, 1), (1,)  # d(0), d(1)
-    for _ in range(h - 1):
-        nxt = list(cur) + [0] * (len(prev) + 1 - len(cur))
-        for i, c in enumerate(prev, start=1):
-            nxt[i] -= c
-        while nxt[-1] == 0:
-            nxt.pop()
-        prev, cur = cur, tuple(nxt)
-    return prev, cur
 
 
 def _coeff(h: int, j: int) -> int:
@@ -75,10 +64,19 @@ def denominator_coeff(h: int, j: int) -> int:
 
 def generating_function(h: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Counting series for the height-h valley-restricted paths by semilength,
-    as the pair (numerator, denominator) = (d(h-1), d(h))."""
+    as the pair (numerator, denominator) = (d(h-1), d(h)), from one sweep of
+    the recurrence."""
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    return _denominators(h)
+    prev, cur = (1, 1), (1,)  # d(0), d(1)
+    for _ in range(h - 1):
+        nxt = list(cur) + [0] * (len(prev) + 1 - len(cur))
+        for i, c in enumerate(prev, start=1):
+            nxt[i] -= c
+        while nxt[-1] == 0:
+            nxt.pop()
+        prev, cur = cur, tuple(nxt)
+    return prev, cur
 
 
 def series(f: tuple[tuple[int, ...], tuple[int, ...]], n_max: int) -> tuple[int, ...]:
@@ -98,22 +96,22 @@ def series(f: tuple[tuple[int, ...], tuple[int, ...]], n_max: int) -> tuple[int,
 
 
 def count_sequence(h: int, n_max: int) -> tuple[int, ...]:
-    """Class counts for sizes 0..n_max via the linear recurrence.
+    """Class counts for sizes 0..n_max: the series of d(h-1)/d(h) with both
+    polynomials built from the closed form _coeff, not the h-recurrence.
 
-    The count at size 0 is 1 and counts at negative sizes are 0; for m >= 1
-    the count is the coefficient-weighted sum of earlier counts minus the
+    A rational series is a linear recurrence, so series() runs it: the count
+    at size m is the coefficient-weighted sum of earlier counts minus the
     numerator's coefficient, which vanishes once m passes its degree.
     """
     if h < 2:
         raise ValueError(f"recurrence needs h >= 2, got {h}; height 1 is the 1+x series")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    # coefficients past (h+2)//2 vanish, and those past n_max are never read
-    coeffs = [denominator_coeff(h, j) for j in range(1, min((h + 2) // 2, n_max) + 1)]
-    counts = [1]
-    for m in range(1, n_max + 1):  # coeffs[j-1] * counts[m-j], j = 1..min(len(coeffs), m)
-        counts.append(sum(map(mul, coeffs, reversed(counts))) - _coeff(h - 1, m))
-    return tuple(counts)
+
+    def d(g: int) -> tuple[int, ...]:  # through x^min(degree, n_max): no later term is read
+        return (1, *(-_coeff(g, j) for j in range(1, min((g + 2) // 2, n_max) + 1)))
+
+    return series((d(h - 1), d(h)), n_max)
 
 
 def catalan_identity(n: int, alpha: int) -> bool:

@@ -87,3 +87,39 @@ def test_disagreement(monkeypatch):
     assert exc.n == 2
     assert exc.values == {"recurrence": 1, "series": 2, "matrix": 2, "brute": 2, "eco": 2}
     assert str(exc) == "n=2: recurrence=1, series=2, matrix=2, brute=2, eco=2"
+
+
+def _bump(terms, i):
+    """terms with term i one larger."""
+    return (*terms[:i], terms[i] + 1, *terms[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "attr, mutant, n, wrong",
+    [
+        # the recurrence's own input: the closed form's x^2 term, in d(h-1) and d(h) alike
+        ("_coeff", lambda real: lambda h, j: real(h, j) + (j == 2), 3, {"recurrence": 6}),
+        # the series route's own input: d(h)'s x^2 term from the h-recurrence
+        (
+            "generating_function",
+            lambda real: lambda h: (real(h)[0], _bump(real(h)[1], 2)),
+            2,
+            {"series": 1},
+        ),
+        # the expansion loop both series routes share
+        (
+            "series",
+            lambda real: lambda f, n: _bump(real(f, n), 3),
+            3,
+            {"recurrence": 6, "series": 6},
+        ),
+    ],
+    ids=["closed form", "h-recurrence", "shared loop"],
+)
+def test_each_input_and_the_shared_loop_is_cross_checked(monkeypatch, attr, mutant, n, wrong):
+    # the matrix, brute and eco routes read none of these, so they keep the true count
+    monkeypatch.setattr(genfunc, attr, mutant(getattr(genfunc, attr)))
+    with pytest.raises(MethodDisagreement) as info:
+        count(5, 8)
+    assert info.value.n == n
+    assert info.value.values == {m: dyck.catalan(n) for m in ROUTES} | wrong

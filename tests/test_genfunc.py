@@ -183,17 +183,17 @@ class TestCountRecurrence:
             genfunc.count_sequence(1, 3)
 
     def test_reads_only_the_coefficients_it_uses(self, monkeypatch):
-        # d(1000) has 501 coefficients; sizes 0..3 use the first three
+        # d(999) and d(1000) have degree 500 and 501; sizes 0..3 read them through x^3
         calls = []
-        real = genfunc.denominator_coeff
+        real = genfunc._coeff
 
         def counted(h, j):
-            calls.append(j)
+            calls.append((h, j))
             return real(h, j)
 
-        monkeypatch.setattr(genfunc, "denominator_coeff", counted)
+        monkeypatch.setattr(genfunc, "_coeff", counted)
         assert genfunc.count_sequence(1000, 3) == (1, 1, 2, 5)
-        assert len(calls) <= 3
+        assert sorted(calls) == [(h, j) for h in (999, 1000) for j in (1, 2, 3)]
         calls.clear()
         assert genfunc.count_sequence(1000, 0) == (1,)
         assert calls == []
