@@ -75,7 +75,9 @@ def count(h: int, n_max: int, method: str = "all", k: int = 2) -> dict[str, list
     by_route = {}
     for m, r in wanted.items():
         by_route[m] = list(r.engine(max(min(h, n_max), r.least_h), n_max, k))
-    for n, values in enumerate(zip(*by_route.values())):
-        if len(set(values)) > 1:
-            raise MethodDisagreement(n, dict(zip(by_route, values)))
+    counts = list(by_route.values())
+    if counts.count(counts[0]) < len(counts):  # walk the sizes only to name the first n
+        for n, values in enumerate(zip(*counts)):
+            if len(set(values)) > 1:
+                raise MethodDisagreement(n, dict(zip(by_route, values)))
     return by_route

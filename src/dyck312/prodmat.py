@@ -1,9 +1,9 @@
 """Production matrices for the succession rules: the block construction,
 stated on the differences between adjacent rows, the construction from a
 rule, and level counting by a matrix-vector product read from those
-differences. A level computes only the rows that later levels read. The
-height-h route, height_totals, sweeps the block construction's differences
-directly and builds no matrix."""
+differences. The height-h route, height_totals, builds no matrix: a level is
+one prefix sum of a slice of the level before, cut to the rows that later
+levels read."""
 
 from __future__ import annotations
 
@@ -69,8 +69,8 @@ def production_matrix(h: int) -> ProductionMatrix:
     Base [[0, 1], [1, 1]] for h = 2; each step borders the previous matrix
     with a unit row on top, a zero column on the left, and adds one to the
     first column of the inner block. The rows are the prefix sums of the
-    row differences that _height_steps derives from this recursion, and
-    which height_totals sweeps without building the matrix.
+    row differences that _height_steps derives from this recursion, on
+    which height_totals counts without building the matrix.
     """
     row, rows = [0] * h, []
     for col in _height_steps(h):
@@ -118,28 +118,14 @@ def _differences(rows: tuple[tuple[int, ...], ...]) -> Differences:
     return cols, weights, last
 
 
-def _sweep(steps: Differences, vec: list[int], n_max: int, reads: int) -> Iterator[list[int]]:
+def _sweep(steps: Differences, vec: list[int], n_max: int) -> Iterator[list[int]]:
     """vec, then M vec, M M vec, ...: n_max products with the matrix M of the
-    differences, each cut to the rows that the last level's first `reads`
-    rows depend on.
-
-    Row i of M sums the differences in rows 0..i, so a level is one running
-    sum of each difference times x, read at each row's last. Rows 0..k-1 read
-    x up to the largest column R(k-1) with a difference in them, so the level
-    before needs max(k, R(k-1) + 1) rows, at most all of them."""
+    differences. Row i of M sums the differences in rows 0..i, so a level is
+    one running sum of each difference times x, read at each row's last."""
     cols, weights, last = steps
-    d = len(vec)
-    reach = list(compress(accumulate(cols, max), last))  # R(i)
-    ends = list(compress(range(1, len(cols) + 1), last))  # differences in rows 0..i
-    need = [reads]  # rows needed at level n_max, n_max - 1, ...
-    for _ in range(n_max):
-        k = need[-1]
-        need.append(min(d, max(k, reach[k - 1] + 1)))
-    unit = weights.count(1) == len(weights)
     yield vec
-    for t in range(n_max - 1, -1, -1):
-        terms = map(vec.__getitem__, islice(cols, ends[need[t] - 1]))
-        vec = list(compress(accumulate(terms if unit else map(mul, weights, terms)), last))
+    for _ in range(n_max):
+        vec = list(compress(accumulate(map(mul, weights, map(vec.__getitem__, cols))), last))
         yield vec
 
 
@@ -148,7 +134,7 @@ def level_count(matrix: ProductionMatrix, axiom: Label, n: int) -> tuple[int, Le
     the matrix n times, swept as the transpose times the column vector."""
     d = _check(matrix.dimension, axiom, n)
     vec = [int(i == axiom - 1) for i in range(d)]
-    for vec in _sweep(_differences(tuple(zip(*matrix.rows))), vec, n, d):
+    for vec in _sweep(_differences(tuple(zip(*matrix.rows))), vec, n):
         pass
     return sum(vec), tuple(vec)
 
@@ -159,14 +145,23 @@ def level_totals(matrix: ProductionMatrix, axiom: Label, n_max: int) -> tuple[in
     node labelled i+1, so the axiom's entry is the size of level m."""
     ones = [1] * _check(matrix.dimension, axiom, n_max)
     steps = _differences(matrix.rows)
-    return tuple(vec[axiom - 1] for vec in _sweep(steps, ones, n_max, axiom))
+    return tuple(vec[axiom - 1] for vec in _sweep(steps, ones, n_max))
 
 
 def height_totals(h: int, n_max: int) -> tuple[int, ...]:
-    """level_totals(production_matrix(h), 1, n_max), swept on the matrix's
-    row differences with no h x h matrix built. Row i adds 1 at column i + 1,
-    the last row at h - 2, so R(i) = min(i + 1, h - 1): the sweep computes one
-    row more per level back from the last, about half the rows at n_max = h."""
-    steps = _height_steps(h), [1] * h, [True] * h
-    ones = [1] * _check(h, 1, n_max)
-    return tuple(vec[0] for vec in _sweep(steps, ones, n_max, 1))
+    """level_totals(production_matrix(h), 1, n_max) with no matrix built. Row
+    i adds 1 at column i + 1 to the row above, the last row at h - 2, so
+    (M x)[i] = x[1] + ... + x[i+1] is a prefix sum of a slice of x, and the
+    last row adds x[h - 2] once more. The level t steps before the last is
+    read at rows 0..t only, so its slice ends at min(t + 2, h)."""
+    if h < 2:
+        raise ValueError(f"defined for h >= 2, got {h}")
+    vec = [1] * _check(h, 1, n_max)
+    totals = [1]
+    for t in range(n_max - 1, -1, -1):
+        row = list(accumulate(islice(vec, 1, min(t + 2, h))))
+        if t + 1 >= h:  # every row is kept
+            row.append(row[-1] + vec[h - 2])
+        totals.append(row[0])
+        vec = row
+    return tuple(totals)

@@ -272,8 +272,11 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
     out.append(_result("per-label-level-counts", bad, "h=3..6, n<=10"))
 
     fib = genfunc.series(genfunc.generating_function(2), 16)
-    totals = prodmat.level_totals(prodmat.production_matrix(2), 1, 16)
-    bad = [] if totals == fib else [f"{totals} != {fib}"]
+    routes = {  # h = 2 is where height_totals' last row adds x[0]
+        "level_totals": prodmat.level_totals(prodmat.production_matrix(2), 1, 16),
+        "height_totals": prodmat.height_totals(2, 16),
+    }
+    bad = [f"{route}: {totals} != {fib}" for route, totals in routes.items() if totals != fib]
     out.append(_result("fibonacci-level-counts", bad, "n<=16"))
     return out
 
