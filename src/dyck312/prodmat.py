@@ -1,24 +1,21 @@
 """Production matrices for the succession rules: the block construction,
-stated on the differences between adjacent rows, the construction from a
-rule, and level counting by a matrix-vector product read from those
-differences. The height-h route, height_totals, builds no matrix: a level is
-one prefix sum of a slice of the level before, cut to the rows that later
-levels read."""
+stated on the differences between adjacent rows, and the construction from a
+rule. A generic matrix is counted by a dense row-vector product, which verify
+runs at small dimension. Only the height-h route, height_totals, reads the
+matrix's structure: it builds no matrix, and a level is one prefix sum of a
+slice of the level before, cut to the rows that later levels read."""
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, compress, islice
-from operator import mul, sub
+from itertools import accumulate, islice
+from operator import mul
 
 from .eco import Label, SuccessionRule
 
 # counts per label at one tree level; index i holds the count for label i+1
 LevelVector = tuple[int, ...]
-# a matrix by its row differences, row by row: the column and weight of each
-# nonzero difference, and whether it is its row's last
-Differences = tuple[list[int], list[int], list[bool]]
 
 
 class NonContiguousLabels(ValueError):
@@ -104,48 +101,30 @@ def _check(d: int, axiom: Label, n_max: int) -> int:
     return d
 
 
-def _differences(rows: tuple[tuple[int, ...], ...]) -> Differences:
-    """Each row minus the row above (row -1 is zero), at its nonzero columns;
-    a row with none gets one difference of weight 0 at column 0."""
-    d = len(rows)
-    cols, weights, last = [], [], []  # type: list[int], list[int], list[bool]
-    for prev, row in zip(((0,) * d, *rows), rows):
-        steps = list(map(sub, row, prev))
-        nonzero = list(compress(range(d), steps)) or [0]
-        cols += nonzero
-        weights += map(steps.__getitem__, nonzero)
-        last += [False] * (len(nonzero) - 1) + [True]
-    return cols, weights, last
-
-
-def _sweep(steps: Differences, vec: list[int], n_max: int) -> Iterator[list[int]]:
-    """vec, then M vec, M M vec, ...: n_max products with the matrix M of the
-    differences. Row i of M sums the differences in rows 0..i, so a level is
-    one running sum of each difference times x, read at each row's last."""
-    cols, weights, last = steps
+def _levels(matrix: ProductionMatrix, axiom: Label, n_max: int) -> Iterator[list[int]]:
+    """The axiom's unit row vector, then that vector times the matrix, n_max
+    times: entry j of a level is the level before times column j."""
+    cols = list(zip(*matrix.rows))
+    vec = [int(i == axiom - 1) for i in range(_check(matrix.dimension, axiom, n_max))]
     yield vec
     for _ in range(n_max):
-        vec = list(compress(accumulate(map(mul, weights, map(vec.__getitem__, cols))), last))
+        vec = [sum(map(mul, col, vec)) for col in cols]
         yield vec
 
 
 def level_count(matrix: ProductionMatrix, axiom: Label, n: int) -> tuple[int, LevelVector]:
-    """Level-n label counts, plus their sum: the axiom's unit row vector times
-    the matrix n times, swept as the transpose times the column vector."""
-    d = _check(matrix.dimension, axiom, n)
-    vec = [int(i == axiom - 1) for i in range(d)]
-    for vec in _sweep(_differences(tuple(zip(*matrix.rows))), vec, n):
+    """Level-n label counts, plus their sum: the axiom's unit row vector
+    times the matrix n times, the last level of _levels."""
+    for vec in _levels(matrix, axiom, n):
         pass
     return sum(vec), tuple(vec)
 
 
 def level_totals(matrix: ProductionMatrix, axiom: Label, n_max: int) -> tuple[int, ...]:
-    """Level sizes 0..n_max in one sweep, by subtree sizes: entry i of
-    S_m = M S_(m-1), from S_0 all ones, counts the level-m descendants of a
-    node labelled i+1, so the axiom's entry is the size of level m."""
-    ones = [1] * _check(matrix.dimension, axiom, n_max)
-    steps = _differences(matrix.rows)
-    return tuple(vec[axiom - 1] for vec in _sweep(steps, ones, n_max))
+    """Level sizes 0..n_max, the sums of the levels of _levels. The dense
+    product costs O(n_max * d^2) for dimension d, which suits verify's small
+    matrices; height_totals counts the height-h matrix from its structure."""
+    return tuple(map(sum, _levels(matrix, axiom, n_max)))
 
 
 def height_totals(h: int, n_max: int) -> tuple[int, ...]:

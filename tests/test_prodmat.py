@@ -1,3 +1,6 @@
+from itertools import accumulate, compress
+from operator import mul, sub
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
@@ -85,6 +88,31 @@ def _dense_levels(rows, axiom, n):
     return levels
 
 
+def ref_difference_sweep(rows, vec, n_max):
+    """Oracle: vec, then M vec, M M vec, ...: n_max products with M, read
+    from its row differences. Row i of M sums the differences in rows 0..i,
+    so a level is one running sum of each nonzero difference times x, read
+    at each row's last; a row with none gets one difference of weight 0."""
+    d = len(rows)
+    cols, weights, last = [], [], []
+    for prev, row in zip(((0,) * d, *rows), rows):
+        steps = list(map(sub, row, prev))
+        nonzero = list(compress(range(d), steps)) or [0]
+        cols += nonzero
+        weights += map(steps.__getitem__, nonzero)
+        last += [False] * (len(nonzero) - 1) + [True]
+    yield vec
+    for _ in range(n_max):
+        vec = list(compress(accumulate(map(mul, weights, map(vec.__getitem__, cols))), last))
+        yield vec
+
+
+def _swept_totals(rows, axiom, n_max):
+    """Level sizes by subtree sizes: entry i of S_m = M S_(m-1), from S_0 all
+    ones, counts the level-m descendants of a node labelled i+1."""
+    return tuple(s[axiom - 1] for s in ref_difference_sweep(rows, [1] * len(rows), n_max))
+
+
 @st.composite
 def matrix_axiom_n(draw):
     d = draw(st.integers(1, 8))
@@ -107,16 +135,22 @@ class TestLevelCount:
         rows, axiom, n = case
         m = ProductionMatrix(rows)
         levels = _dense_levels(rows, axiom, n)
-        assert prodmat.level_totals(m, axiom, n) == tuple(sum(v) for v in levels)
+        totals = tuple(sum(v) for v in levels)
+        assert prodmat.level_totals(m, axiom, n) == totals
         assert prodmat.level_count(m, axiom, n) == (sum(levels[n]), tuple(levels[n]))
+        # the difference sweep, the oracle for larger matrices, both ways round
+        assert _swept_totals(rows, axiom, n) == totals
+        unit = [int(i == axiom - 1) for i in range(len(rows))]
+        assert list(ref_difference_sweep(list(zip(*rows)), unit, n)) == levels
 
     def test_height_route_matches_the_matrix(self):
         for h in range(2, 65):
             m = prodmat.production_matrix(h)
             for n in (0, 1, h - 1, h, h + 1, 3 * h):
                 totals = prodmat.height_totals(h, n)
-                assert totals == prodmat.level_totals(m, 1, n), (h, n)
-                if h <= 12:
+                assert totals == _swept_totals(m.rows, 1, n), (h, n)
+                if h <= 12:  # the dense product costs O(n h^2)
+                    assert totals == prodmat.level_totals(m, 1, n), (h, n)
                     assert totals == tuple(sum(v) for v in _dense_levels(m.rows, 1, n)), (h, n)
 
     def test_height_route_arguments(self):
@@ -148,7 +182,7 @@ class TestLevelCount:
 
     @pytest.mark.parametrize("h, n", [(64, 64), (97, 512), (128, 128), (192, 192), (512, 512)])
     def test_exact_routes_agree_at_workload_sizes(self, h, n):
-        totals = prodmat.level_totals(prodmat.production_matrix(h), 1, n)
+        totals = _swept_totals(prodmat.production_matrix(h).rows, 1, n)
         assert totals == prodmat.height_totals(h, n)
         assert totals == genfunc.count_sequence(h, n)
         assert totals == genfunc.series(genfunc.generating_function(h), n)

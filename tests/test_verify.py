@@ -1,10 +1,13 @@
-"""verify's failure reporting: with one piece of the bijection or of the
-generating tree broken, each check must fail on the same first case and leave
-the others passing, and report it as a failure rather than raise."""
+"""verify's failure reporting: with one piece of the bijection, of the
+generating tree or of the matrix product broken, each check must fail on the
+same first case and leave the others passing, and report it as a failure
+rather than raise."""
+
+from operator import mul
 
 import pytest
 
-from dyck312 import bijection, dyck, eco, genfunc, perm, verify
+from dyck312 import bijection, dyck, eco, genfunc, perm, prodmat, verify
 from dyck312.cli import main
 from dyck312.dyck import DyckPath
 from dyck312.perm import Permutation
@@ -16,6 +19,7 @@ _grow = eco.grow
 _label = eco._label
 _perm_children = eco.perm_children
 _coeff = genfunc._coeff
+_level_totals = prodmat.level_totals
 
 
 def _image_312(p):
@@ -162,6 +166,52 @@ def test_broken_tree_fails_the_command(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "FAIL eco-children-in-class (first failure: h=3, parent 'UUDD')" in out.splitlines()
     assert err == ""
+
+
+def _level_count_by_rows(matrix, axiom, n):
+    """level_count, with each level taken against the rows, not the columns:
+    the transposed product."""
+    vec = [int(i == axiom - 1) for i in range(matrix.dimension)]
+    for _ in range(n):
+        vec = [sum(map(mul, row, vec)) for row in matrix.rows]
+    return sum(vec), tuple(vec)
+
+
+def _level_totals_last_plus_one(matrix, axiom, n_max):
+    """level_totals, with one added to its last total."""
+    *totals, last = _level_totals(matrix, axiom, n_max)
+    return (*totals, last + 1)
+
+
+# the same, for the generic matrix product that the matrix scope checks
+MATRIX_BREAKS = {
+    "level-count-transposed": (
+        ("level_count", _level_count_by_rows),
+        {"per-label-level-counts": "first failure: h=3, n=1"},
+    ),
+    "level-totals-last-plus-one": (
+        ("level_totals", _level_totals_last_plus_one),
+        {
+            "fibonacci-level-counts": "first failure: level_totals: "
+            "(1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1598) "
+            "!= (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597)"
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_BREAKS)
+def test_broken_matrix_product_reports_first_failure(monkeypatch, name):
+    (attr, replacement), failures = MATRIX_BREAKS[name]
+    monkeypatch.setattr(prodmat, attr, replacement)
+    results = verify.run("matrix")
+    assert [r.name for r in results] == [
+        "rule-matrix-equality",
+        "row-sums-match-labels",
+        "per-label-level-counts",
+        "fibonacci-level-counts",
+    ]
+    assert {r.name: r.detail for r in results if not r.passed} == failures
 
 
 def test_eco_scope_tests_each_path_once(monkeypatch):
