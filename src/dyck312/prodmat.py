@@ -1,5 +1,5 @@
-"""Production matrices for the succession rules: the block construction,
-stated on the differences between adjacent rows, and the construction from a
+"""Production matrices for the succession rules: the height-h block
+construction, unrolled into a rule for each row, and the construction from a
 rule. A generic matrix is counted by a dense row-vector product, which verify
 runs at small dimension. Only the height-h route, height_totals, reads the
 matrix's structure: it builds no matrix, and a level is one prefix sum of a
@@ -45,35 +45,20 @@ class ProductionMatrix(namedtuple("ProductionMatrix", "rows")):
         return len(self.rows)
 
 
-def _height_steps(h: int) -> list[int]:
-    """Row i of the height-h matrix is row i-1 (row -1 is zero) plus 1 at
-    the column in entry i: the block recursion, stated on row differences.
-
-    Each step borders the matrix with a zero column on the left, which shifts
-    every row's difference one column right. The +1 it adds to the inner
-    block's first column cancels between adjacent inner rows, and between
-    inner row 0 and the new unit top row, whose own difference is +1 at
-    column 1. So from h = 2's [1, 0] the steps are [1, 2, ..., h-1, h-2].
-    """
-    if h < 2:
-        raise ValueError(f"defined for h >= 2, got {h}")
-    return [*range(1, h), h - 2]
-
-
 def production_matrix(h: int) -> ProductionMatrix:
     """Block-recursive matrix of the height-h rule.
 
     Base [[0, 1], [1, 1]] for h = 2; each step borders the previous matrix
     with a unit row on top, a zero column on the left, and adds one to the
-    first column of the inner block. The rows are the prefix sums of the
-    row differences that _height_steps derives from this recursion, on
-    which height_totals counts without building the matrix.
+    first column of the inner block. Unrolled, row i < h - 1 is 1 at columns
+    1..i+1, and the last row is row h - 2 plus 1 at column h - 2.
     """
-    row, rows = [0] * h, []
-    for col in _height_steps(h):
-        row[col] += 1
-        rows.append(tuple(row))
-    return ProductionMatrix(tuple(rows))
+    if h < 2:
+        raise ValueError(f"defined for h >= 2, got {h}")
+    rows = [[0] + [1] * (i + 1) + [0] * (h - 2 - i) for i in range(h - 1)]
+    rows.append(rows[-1][:])
+    rows[-1][h - 2] += 1
+    return ProductionMatrix(rows)
 
 
 def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
@@ -92,20 +77,16 @@ def matrix_from_rule(rule: SuccessionRule) -> ProductionMatrix:
     return ProductionMatrix(tuple(tuple(t[j] for j in labels) for t in tallies))
 
 
-def _check(d: int, axiom: Label, n_max: int) -> int:
-    """The dimension d, once the axiom and the level are known valid."""
+def _levels(matrix: ProductionMatrix, axiom: Label, n_max: int) -> Iterator[list[int]]:
+    """The axiom's unit row vector, then that vector times the matrix, n_max
+    times: entry j of a level is the level before times column j."""
+    d = matrix.dimension
     if not 1 <= axiom <= d:
         raise ValueError(f"axiom ({axiom}) outside 1..{d}")
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    return d
-
-
-def _levels(matrix: ProductionMatrix, axiom: Label, n_max: int) -> Iterator[list[int]]:
-    """The axiom's unit row vector, then that vector times the matrix, n_max
-    times: entry j of a level is the level before times column j."""
     cols = list(zip(*matrix.rows))
-    vec = [int(i == axiom - 1) for i in range(_check(matrix.dimension, axiom, n_max))]
+    vec = [int(i == axiom - 1) for i in range(d)]
     yield vec
     for _ in range(n_max):
         vec = [sum(map(mul, col, vec)) for col in cols]
@@ -128,14 +109,16 @@ def level_totals(matrix: ProductionMatrix, axiom: Label, n_max: int) -> tuple[in
 
 
 def height_totals(h: int, n_max: int) -> tuple[int, ...]:
-    """level_totals(production_matrix(h), 1, n_max) with no matrix built. Row
-    i adds 1 at column i + 1 to the row above, the last row at h - 2, so
-    (M x)[i] = x[1] + ... + x[i+1] is a prefix sum of a slice of x, and the
-    last row adds x[h - 2] once more. The level t steps before the last is
-    read at rows 0..t only, so its slice ends at min(t + 2, h)."""
+    """level_totals(production_matrix(h), 1, n_max) with no matrix built. By
+    production_matrix's row rule, (M x)[i] = x[1] + ... + x[i+1] is a prefix
+    sum of a slice of x, and the last row adds x[h - 2] once more. The level
+    t steps before the last is read at rows 0..t only, so its slice ends at
+    min(t + 2, h)."""
     if h < 2:
         raise ValueError(f"defined for h >= 2, got {h}")
-    vec = [1] * _check(h, 1, n_max)
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    vec = [1] * h
     totals = [1]
     for t in range(n_max - 1, -1, -1):
         row = list(accumulate(islice(vec, 1, min(t + 2, h))))

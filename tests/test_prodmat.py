@@ -39,8 +39,20 @@ class TestProductionMatrix:
                 assert sum(row) == i
 
     def test_rejects_h_below_two(self):
-        with pytest.raises(ValueError):
-            prodmat.production_matrix(1)
+        for h in (1, 0, -3):
+            with pytest.raises(ValueError, match=rf"^defined for h >= 2, got {h}$"):
+                prodmat.production_matrix(h)
+
+    @pytest.mark.parametrize("h", [*range(2, 65), 512])
+    def test_block_recursion(self, h):
+        # the construction as the docstring states it: from the h = 2 base,
+        # border with a zero column on the left, add one to the inner block's
+        # first column, and put the unit row on top
+        rows = [[0, 1], [1, 1]]
+        for d in range(3, h + 1):
+            rows = [[0, r[0] + 1, *r[1:]] for r in rows]
+            rows.insert(0, [0, 1] + [0] * (d - 2))
+        assert prodmat.production_matrix(h).rows == tuple(map(tuple, rows))
 
     def test_type_validation(self):
         with pytest.raises(ValueError):
