@@ -145,22 +145,27 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             fh.writelines(text)
         return
     # write beside the file a symlink resolves to and rename, so a failed write
-    # leaves no partial file; the pid keeps the temporary name private to this run
+    # leaves no partial file; the pid keeps concurrent runs' temporary names apart
     target = os.path.realpath(out)
     tmp = f"{target}.{os.getpid()}.tmp"
+    made = False
     try:
-        with open(tmp, "w") as fh:
+        # "x" is O_EXCL: never write through a file or symlink planted at the name
+        with open(tmp, "x") as fh:
+            made = True
             fh.writelines(text)
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
+        made = False
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, out) from exc
     finally:
-        # nothing is left after the rename; before it, any exception leaves the temp
-        # file, since the lines are made while they are written
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        # before the rename any exception leaves the temp file, since the lines are
+        # made while they are written; remove it, and nothing this run did not make
+        if made:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _json_doc(command: str, payload: dict) -> Iterator[str]:

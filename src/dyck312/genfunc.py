@@ -73,8 +73,6 @@ def generating_function(h: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         nxt = list(cur) + [0] * (len(prev) + 1 - len(cur))
         for i, c in enumerate(prev, start=1):
             nxt[i] -= c
-        while nxt[-1] == 0:
-            nxt.pop()
         prev, cur = cur, tuple(nxt)
     return prev, cur
 

@@ -54,7 +54,7 @@ class LrMaximum(namedtuple("LrMaximum", "index value")):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_NOT_CANONICAL = str.maketrans("", "", "0123456789 ")  # deletes all of canonical text
+_NOT_JSON = str.maketrans("", "", "0123456789 ,")  # deletes all of the text JSON reads
 _DECODER = json.JSONDecoder()  # shareable: an array of integers is read without Python code
 
 
@@ -62,45 +62,27 @@ def parse_perm(text: str) -> Permutation:
     """Parse integers separated by whitespace or commas; blank input is the
     empty permutation. An integer is an optional sign and ASCII digits.
 
-    Canonical text, the form str() writes (ASCII digits, single spaces,
-    nothing before or after), is read as one JSON array in C. Any other text,
-    and canonical-looking text that JSON refuses (a doubled, leading or
-    trailing space, a leading zero, more digits than int() converts), is read
-    token by token; both give the same result and raise the same errors.
+    Text of ASCII digits, spaces and commas, as str() writes it or with bare
+    commas, is read as one JSON array in C. Any other text, and such text
+    that JSON refuses (a doubled, leading or trailing separator, ", ", a
+    leading zero, a token past int()'s digit limit), is read token by token
+    with _integer; both give the same result and raise the same errors.
     """
-    # the usual other separators leave at a substring search, before the costlier
-    # translate and, for two spaces, a JSONDecodeError
-    if (
-        "," not in text
-        and "\t" not in text
-        and "  " not in text
-        and text.isascii()
-        and not text.translate(_NOT_CANONICAL)
-    ):
+    if not text.translate(_NOT_JSON):
         try:
             values = _DECODER.raw_decode(f"[{text.replace(' ', ',')}]")[0]
         except ValueError:  # a JSONDecodeError, or a token past int()'s digit limit
             pass
         else:
             return Permutation(values)
-    tokens = text.replace(",", " ").split()
-    # int() also reads '1_0' and non-ASCII digits; in ASCII text without '_'
-    # it reads exactly the integers, so one map() converts them all
-    convert = int if text.isascii() and "_" not in text else _integer
-    try:
-        values = list(map(convert, tokens))
-    except ValueError:  # name the first token that is not an integer
-        values = list(map(_integer, tokens))
-    # a list sized once, not tuple(map()): that tuple grows by reallocation,
-    # and the kept tuples fragment the heap so peak memory creeps up
-    return Permutation(tuple(values))
+    return Permutation(list(map(_integer, text.replace(",", " ").split())))
 
 
 def _integer(token: str) -> int:
     try:
         if _INTEGER.fullmatch(token):
             return int(token)
-    except ValueError:  # more digits than int() converts
+    except ValueError:  # a token past int()'s digit limit
         pass
     raise NotAPermutation(f"not an integer: {token!r}", token)
 

@@ -301,7 +301,8 @@ class TestMap:
         assert out.splitlines() == ["UD"]  # the good line still maps
 
     def test_token_only_int_reads(self, capsys, monkeypatch):
-        # int() reads '1_0' as 10; the error quotes the token as written
+        # an integer is an optional sign and ASCII digits, so '1_0', which Python
+        # reads as 10, is not one; the error quotes the token as written
         self.feed(monkeypatch, "2 1 3\n2 1_0 1 3 4 5 6 7 8 9\n")
         code, out, err = run(capsys, "map", "--direction", "to-path")
         assert code == 1
@@ -714,6 +715,27 @@ class TestOutputFile(object):
         assert real.read_text() == "1,1,2,5,12\n"
         assert real.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    @pytest.mark.parametrize("victim_exists", [True, False], ids=["victim", "dangling"])
+    def test_planted_temporary_symlink(self, capsys, tmp_path, victim_exists):
+        # a symlink planted at the temporary name is refused, not written through
+        # and renamed over the target
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        victim = tmp_path / "victim.txt"
+        if victim_exists:
+            victim.write_text("victim\n")
+        tmp = f"{os.path.realpath(target)}.{os.getpid()}.tmp"
+        os.symlink(victim, tmp)
+        code, out, err = run(capsys, "count", "--h", "3", "--n-max", "3", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.is_symlink() and target.read_text() == "old\n"
+        if victim_exists:
+            assert victim.read_text() == "victim\n"
+        else:
+            assert not os.path.lexists(victim)
+        assert os.path.islink(tmp)  # not this run's file, so not removed
 
     def test_fifo_target(self, capsys, tmp_path):
         # a target that is not a regular file (a pipe here, /dev/null or /dev/stdout

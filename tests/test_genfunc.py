@@ -46,6 +46,16 @@ class TestDenominatorPoly:
         for h in range(2, 21):
             assert len(genfunc.denominator_poly(h)) - 1 == (h + 2) // 2
 
+    def test_leading_coefficient_is_never_zero(self):
+        # (-1)^m at h = 2m, (-1)^m * m at h = 2m + 1: at even h the top term is
+        # -x*d(h-2)'s alone, at odd h the two tops have opposite signs and add in
+        # size, so the sweep never has a zero top coefficient to trim
+        for h in range(2, 513):
+            denominator = genfunc.generating_function(h)[1]
+            m = h // 2
+            assert len(denominator) == m + 2
+            assert denominator[-1] == (-1) ** m * (m if h % 2 else 1)
+
     def test_recurrence_relation(self):
         # d(h) = d(h-1) - x * d(h-2), coefficient by coefficient
         for h in range(3, 16):

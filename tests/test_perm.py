@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -45,6 +46,45 @@ class TestParse:
 
     def test_signs_and_unicode_separators(self):
         assert perm.parse_perm("+2\u00a0+1,3") == Permutation((2, 1, 3))
+
+    # digits with bare commas are read as JSON; what JSON refuses, token by token
+    @pytest.mark.parametrize(
+        "text, entries",
+        [
+            ("1,2", (1, 2)),
+            (",1", (1,)),
+            ("1,", (1,)),
+            ("1,,2", (1, 2)),
+            ("1 ,2", (1, 2)),
+            (",", ()),
+            ("+1,2", (1, 2)),
+            ("2\t1", (2, 1)),
+            ("2,1 3", (2, 1, 3)),
+        ],
+    )
+    def test_separators(self, text, entries):
+        assert perm.parse_perm(text) == Permutation(entries)
+
+    @pytest.mark.parametrize(
+        "text, message, value",
+        [
+            ("1,1", "duplicate value 1", 1),
+            ("0,1", "value 0 out of range 1..2", 0),
+            ("1,01", "duplicate value 1", 1),
+            (f"2,{'7' * 4301},1", f"not an integer: '{'7' * 4301}'", "7" * 4301),
+        ],
+        ids=["duplicate", "out-of-range", "leading-zero", "digit-limit"],
+    )
+    def test_comma_errors(self, text, message, value):
+        with pytest.raises(NotAPermutation) as exc:
+            perm.parse_perm(text)
+        assert (str(exc.value), exc.value.value) == (message, value)
+
+    def test_long_permutation_in_each_spelling(self):
+        entries = random.Random(312).sample(range(1, 100_001), 100_000)
+        expected = Permutation(entries)
+        for sep in (" ", ",", ", "):
+            assert perm.parse_perm(sep.join(map(str, entries))) == expected
 
     def test_constructor_validates(self):
         with pytest.raises(NotAPermutation):
