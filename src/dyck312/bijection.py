@@ -3,7 +3,7 @@ permutations, and the excess/height transport along it."""
 
 from __future__ import annotations
 
-from .dyck import DyckPath
+from .dyck import DyckPath, parse_path
 from .perm import LrMaximum, Permutation, _trusted, avoids_312, left_to_right_maxima
 
 
@@ -11,21 +11,36 @@ class Not312Avoiding(ValueError):
     """Operand contains the pattern 312."""
 
 
+_NOT_A_STEP = str.maketrans("", "", "UD")  # deletes the steps: what is left is a fault
+
+
 def path_to_perm(p: DyckPath) -> Permutation:
     """Label the ups 1..n left to right, give each down its matching up's
-    label, read the down labels in order. The result avoids 312."""
+    label, read the down labels in order. The result avoids 312.
+
+    The word is checked as it is mapped: a step other than U or D (one
+    translate before the loop), a down step from the axis or an up step left
+    unmatched sends it to parse_path, which raises the first fault. So an
+    unchecked DyckPath fails as its text would."""
+    word = p.word
     stack: list[int] = []
     out: list[int] = []
     label = 0
-    for c in p.word:
-        if c == "U":
-            label += 1
-            stack.append(label)
+    if not word.translate(_NOT_A_STEP):
+        try:
+            for c in word:
+                if c == "U":
+                    label += 1
+                    stack.append(label)
+                else:
+                    out.append(stack.pop())
+        except IndexError:  # a down step from the axis
+            pass
         else:
-            out.append(stack.pop())
-    if stack:  # an unmatched up: the labels are not 1..n, and Permutation names the first
-        return Permutation(tuple(out))
-    return _trusted(tuple(out))  # each label 1..n was pushed and popped once
+            if not stack:  # each label 1..n was pushed and popped once
+                return _trusted(tuple(out))
+    parse_path(word)  # not a Dyck word, so this raises
+    raise AssertionError(f"parse_path accepted {word!r}")
 
 
 def perm_to_path(pi: Permutation) -> DyckPath:

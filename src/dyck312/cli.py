@@ -267,9 +267,10 @@ def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
             text = ""
             try:
                 if direction == "to-perm":
-                    path = dyck.parse_path(line)
-                    if not checking:  # a parsed word always has an image: parsing checks it
-                        text = str(bijection.path_to_perm(path))
+                    if checking:
+                        dyck.parse_path(line)
+                    else:  # path_to_perm checks the word in the pass that maps it
+                        text = str(bijection.path_to_perm(dyck.DyckPath(line)))
                 else:
                     pi = perm_mod.parse_perm(line)
                     if checking:

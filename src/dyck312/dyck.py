@@ -46,8 +46,9 @@ class CapExceeded(ValueError):
 class DyckPath(namedtuple("DyckPath", "word")):
     """A Dyck path as its U/D word; the empty word is the empty path.
 
-    The word is assumed valid (balanced, no prefix below the axis). Use
-    parse_path() for untrusted text.
+    The word is not checked here. bijection.path_to_perm checks it in the
+    pass that maps it; the other queries assume it valid (balanced, no prefix
+    below the axis). Use parse_path() for untrusted text.
     """
 
     __slots__ = ()

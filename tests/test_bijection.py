@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from dyck312 import bijection, dyck, eco, perm
 from dyck312.bijection import Not312Avoiding
-from dyck312.dyck import DyckPath
-from dyck312.perm import LrMaximum, NotAPermutation, Permutation
+from dyck312.dyck import DyckPath, InvalidCharacter, NegativePrefix, Unbalanced
+from dyck312.perm import LrMaximum, Permutation
 
 from strategies import dyck_words
 
@@ -39,10 +39,24 @@ class TestPathToPerm:
             assert built == checked and hash(built) == hash(checked)
 
     def test_unmatched_up_keeps_the_check(self):
-        # DyckPath does not validate its word; an unmatched up still fails as it did
-        with pytest.raises(NotAPermutation) as exc:
+        # DyckPath does not validate its word; path_to_perm checks it in the pass
+        # that maps it, and an unmatched up fails as parse_path names it
+        with pytest.raises(Unbalanced) as exc:
             bijection.path_to_perm(DyckPath("UUD"))
-        assert str(exc.value) == "value 2 out of range 1..1"
+        assert str(exc.value) == "unbalanced word: unmatched 'U' at index 0"
+
+    @pytest.mark.parametrize(
+        "word, error, message",
+        [
+            ("UUXD", InvalidCharacter, "invalid character 'X' at index 2"),
+            ("DU", NegativePrefix, "prefix dips below the axis at index 0"),
+        ],
+    )
+    def test_other_faults_fail_as_their_text(self, word, error, message):
+        # the stack loop alone maps UUXD to (2, 1) and pops an empty stack on DU
+        with pytest.raises(error) as exc:
+            bijection.path_to_perm(DyckPath(word))
+        assert str(exc.value) == message
 
 
 class TestPermToPath:

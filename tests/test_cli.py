@@ -410,6 +410,16 @@ class TestMap:
         with open(data + "out") as out, open(data + "err") as err:
             assert run(capsys, "map", "--direction", "to-path") == (1, out.read(), err.read())
 
+    def test_every_path_fault(self, capsys, monkeypatch):
+        # the expectation CI compares the installed script with: valid, empty and
+        # CRLF lines, and each fault at the start, middle and end of a 1,000-step
+        # word, named as parse_path names it though the mapping pass finds it
+        data = os.path.join(os.path.dirname(__file__), "data", "map-to-perm.")
+        with open(data + "in", newline="") as fh:
+            self.feed(monkeypatch, fh.read())
+        with open(data + "out") as out, open(data + "err") as err:
+            assert run(capsys, "map", "--direction", "to-perm") == (1, out.read(), err.read())
+
     def test_crlf_maps_like_lf(self, capsys, monkeypatch):
         text = "UUDUDD\n1\n\n3 1 2\nUDX\n2 1\n"
         self.feed(monkeypatch, text)

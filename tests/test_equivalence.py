@@ -139,11 +139,11 @@ def _fill(prefix: list[str], open_: int, ups_left: int, out: list[str]) -> None:
 
 
 def outcome(fn, *args):
-    """fn's value, or the class, message, index and value of what it raised."""
+    """fn's value, or the class, message, index, character and value of what it raised."""
     try:
         return fn(*args)
     except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "value", None)
+        return type(exc), str(exc), *(getattr(exc, name, None) for name in ("index", "char", "value"))
 
 
 avoiders = dyck_words(max_semilength=60).map(lambda w: bijection.path_to_perm(DyckPath(w)))
@@ -203,9 +203,20 @@ def long_words(draw):
     return word
 
 
-@given(st.one_of(st.text("UD", max_size=40), st.text("UDX", max_size=40), dyck_words(20), long_words()))
+path_texts = st.one_of(st.text("UD", max_size=40), st.text("UDX", max_size=40), dyck_words(20), long_words())
+
+
+@given(path_texts)
 def test_parse_path(text):
     assert outcome(dyck.parse_path, text) == outcome(ref_parse_path, text)
+
+
+@given(path_texts)
+def test_path_to_perm_checks_its_word(text):
+    # an unchecked DyckPath maps as its parsed text does, or fails as parsing it does
+    assert outcome(bijection.path_to_perm, DyckPath(text)) == outcome(
+        lambda t: bijection.path_to_perm(ref_parse_path(t)), text
+    )
 
 
 # int() reads a token the same way under both grammars unless it has an
