@@ -35,6 +35,10 @@ SCHEMA_VERSION = 1
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # `--out "$FILE"` with FILE unset: fail before any work, and never take ""
+        # for stdout or for the working directory, which realpath("") names
+        if args.out == "":
+            raise ValueError("--out names no file")
         code, lines = args.func(args)
         _emit(lines, args.out)
         return code() if callable(code) else code
@@ -124,7 +128,7 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     # yields it (a JSON document, a row of counts), so the longest output is not copied
     first += "\n"
     text = itertools.chain((first,), (f"{line}\n" for line in lines))
-    if not out:
+    if out is None:
         try:
             sys.stdout.writelines(text)
             sys.stdout.flush()  # a closed pipe must show here, not in the flush at exit
@@ -140,7 +144,8 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        # a device, pipe or directory: there is no file to replace, so write through it
+        # a device or pipe: there is no file to replace, so write through it; a
+        # directory cannot be opened for writing, and the OSError exits 2
         with open(out, "w") as fh:
             fh.writelines(text)
         return

@@ -712,6 +712,19 @@ class TestOutputFile(object):
         # nothing written, and no temporary file left beside the target
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
 
+    @pytest.mark.parametrize("command", ["count --h 3 --n-max 3", "map"])
+    def test_empty_target(self, capsys, monkeypatch, tmp_path, command):
+        # `--out "$FILE"` with FILE unset: an error before any count is made, not stdout
+        # nor the working directory; map's empty stdin makes no line, and the name is
+        # rejected all the same
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        calls = []
+        monkeypatch.setattr(cli.counting, "count", lambda *a: calls.append(a))
+        assert run(capsys, *command.split(), "--out", "") == (2, "", "error: --out names no file\n")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_symlink_target(self, capsys, tmp_path):
         real = tmp_path / "real.txt"
         real.write_text("old\n")
