@@ -44,25 +44,20 @@ def path_to_perm(p: DyckPath) -> Permutation:
 
 
 def perm_to_path(pi: Permutation) -> DyckPath:
-    """Inverse map: path_to_perm's stack, run from the permutation as in
-    perm.avoids_312. A new maximum pushes every value up to it, one up step
-    each; each entry pops itself, one down step; a pop that is not the entry
-    is a 312. The steps are emitted as run lengths."""
-    stack: list[int] = []
-    parts: list[str] = []
-    top = 0  # the largest entry so far: 1..top have been pushed
-    head = 0  # position of the maximum heading the current run
-    for i, v in enumerate(pi.entries):
+    """Inverse map, read off the running maximum once avoids_312 has checked
+    pi: each entry is one down step, after as many up steps as it raises the
+    largest entry so far (none unless it is a left-to-right maximum)."""
+    _require_avoids_312(pi)
+    ups: list[str] = []
+    top = 0  # the largest entry so far
+    for v in pi.entries:
         if v > top:
-            parts.append("D" * (i - head))
-            parts.append("U" * (v - top))
-            if v > top + 1:
-                stack.extend(range(top + 1, v))
-            top, head = v, i
-        elif stack.pop() != v:
-            raise Not312Avoiding(_contains_312(pi))
-    parts.append("D" * (len(pi.entries) - head))
-    return DyckPath("".join(parts))
+            ups.append("U" * (v - top))
+            top = v
+        else:
+            ups.append("")
+    ups.append("")  # the runs sit between the downs: n downs, n + 1 runs
+    return DyckPath("D".join(ups))
 
 
 def lrm_heights(pi: Permutation) -> list[tuple[LrMaximum, int]]:
@@ -72,12 +67,8 @@ def lrm_heights(pi: Permutation) -> list[tuple[LrMaximum, int]]:
     return [(m, m.value - m.index) for m in left_to_right_maxima(pi)]
 
 
-def _contains_312(pi: Permutation) -> str:
-    return f"'{pi}' contains 312"
-
-
 def _require_avoids_312(pi: Permutation) -> None:
-    """Raise Not312Avoiding unless pi avoids 312: the operand check of
-    lrm_heights, also made on map's lines left unmapped."""
+    """Raise Not312Avoiding unless pi avoids 312: the one operand check of
+    perm_to_path and lrm_heights, also made on map's lines left unmapped."""
     if not avoids_312(pi):
-        raise Not312Avoiding(_contains_312(pi))
+        raise Not312Avoiding(f"'{pi}' contains 312")

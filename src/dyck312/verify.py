@@ -106,7 +106,7 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
             try:
                 if bijection.path_to_perm(bijection.perm_to_path(pi)) != pi:
                     perm_bad.append(str(pi))
-            except bijection.Not312Avoiding:  # its own stack found a 312 that avoids_312 missed
+            except bijection.Not312Avoiding:  # bijection's avoids_312 saw a 312 that perm's did not
                 perm_bad.append(str(pi))
 
         for h in range(1, n + 2):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,30 @@ class TestPermToPath:
     def test_rejects_pattern(self):
         with pytest.raises(Not312Avoiding):
             bijection.perm_to_path(Permutation((3, 1, 2)))
+
+    def test_one_avoids_312_check(self, monkeypatch):
+        # the 312 check is avoids_312's stack alone: one call per permutation, and
+        # perm_to_path's own loop only reads the running maximum
+        calls = []
+
+        def counted(pi):
+            calls.append(pi)
+            return perm.avoids_312(pi)
+
+        monkeypatch.setattr(bijection, "avoids_312", counted)
+        for n in range(7):
+            for t in permutations(range(1, n + 1)):
+                pi = Permutation(t)
+                calls.clear()
+                try:
+                    bijection.perm_to_path(pi)
+                except Not312Avoiding:
+                    pass
+                assert calls == [pi]
+        calls.clear()
+        with pytest.raises(Not312Avoiding) as exc:
+            bijection.perm_to_path(Permutation((3, 1, 2)))
+        assert str(exc.value) == "'3 1 2' contains 312" and len(calls) == 1
 
 
 class TestRoundTrips:

@@ -1,0 +1,94 @@
+"""The CLI's input contract over its integer options: every argv exits 0, 1 or
+2 in bounded time, no exception escapes main, and a usage error (exit 2) says
+so in one error line.
+
+Each subcommand starts from one cheap base argv; each integer option that
+build_parser() states is replaced in turn by each value below, so a new
+integer option is swept with no edit here. Values at and past each cap stay
+with tests/test_cli_golden.py and CI.
+"""
+
+import argparse
+import signal
+
+import pytest
+
+from dyck312.cli import build_parser, main
+
+pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+
+BASES = {
+    "count": ["count", "--h", "3", "--n-max", "5"],
+    "list": ["list", "--h", "3", "--n", "3"],
+    "tree": ["tree", "--h", "3", "--depth", "3"],
+    "matrix": ["matrix", "--h", "3"],
+    "table": ["table", "--h-max", "3", "--j-max", "3"],
+    "verify": ["verify", "--n-max", "3", "--h-max", "3", "--identity-n-max", "4"],
+}
+
+VALUES = [
+    *("-1", "0", "1", str(10**6)),
+    pytest.param("7" * 5000, id="5000-digits"),
+    *("x", "", "0x10", "1e3", "٣"),
+]
+
+SECONDS = 20  # a bound on one call; the slowest value here takes well under 1 s
+
+
+def _integer_options():
+    """(subcommand, option) for every option of type int, in parser order."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.type is int:
+                yield name, action.option_strings[-1]
+
+
+def _with(argv: list[str], option: str, value: str) -> list[str]:
+    """argv with option's value replaced by value, or with the option added."""
+    if option not in argv:
+        return [*argv, option, value]
+    i = argv.index(option)
+    return [*argv[: i + 1], value, *argv[i + 2 :]]
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout(f"no exit within {SECONDS} s")
+
+
+def _call(argv: list[str]) -> int:
+    """main's exit code, argparse's included, within SECONDS of wall time."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(SECONDS)
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors; no command raises it
+        return exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_base_succeeds(capsys, name):
+    assert _call(BASES[name]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("name, option", list(_integer_options()))
+def test_integer_option(capsys, name, option, value):
+    code = _call(_with(BASES[name], option, value))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.splitlines()
+        if lines[0].startswith("usage: "):  # argparse: usage, then one error line
+            errors = [i for i, line in enumerate(lines) if f"dyck312 {name}: error: " in line]
+            assert errors == [len(lines) - 1], err
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), err

@@ -98,7 +98,7 @@ def ref_in_class(pi: Permutation, h: int) -> bool:
 
 
 def ref_perm_to_path(pi: Permutation) -> DyckPath:
-    # the literal definition: perm_to_path's stack is also avoids_312's
+    # the literal definition, not the avoids_312 stack that perm_to_path checks with
     if not perm.avoids_312_cubic(pi):
         raise Not312Avoiding(f"'{pi}' contains 312")
     maxima = left_to_right_maxima(pi)
