@@ -7,8 +7,9 @@ so height 1 is no special case: its series is (1 + x)/1. series() is the one
 expansion of the quotient; the series route feeds it the recurrence's
 polynomials, count_sequence those of the closed form _coeff. A polynomial is
 a tuple of integer coefficients, index = power of x. Everything here is
-integer arithmetic; each division happens after full multiplication and is
-checked exact.
+integer arithmetic with two divisions, both exact: _coeff's by j, by the
+binomial identity in its docstring, and series()' by the denominator's
+constant term, which it requires to be +-1.
 """
 
 from __future__ import annotations
@@ -19,31 +20,23 @@ from operator import mul
 from .dyck import catalan
 
 
-class NonIntegralCoefficient(ArithmeticError):
-    """The closed-form division left a remainder; signals a bug, never expected."""
-
-
 class NonUnitConstantTerm(ValueError):
     """Series extraction needs a +-1 constant term in the denominator."""
 
 
-def _binom(m: int, r: int) -> int:
-    """Binomial coefficient, zero outside Pascal's triangle (m < 0, r < 0 or
-    r > m). The zero convention makes out-of-degree terms vanish on their own."""
-    if m < 0 or r < 0 or r > m:
-        return 0
-    return math.comb(m, r)
-
-
 def _coeff(h: int, j: int) -> int:
-    """Closed form of -[x^j] d(h) for h >= 0, j >= 1:
-    ((3j - h - 2) / j) * _binom(h - j + 1, j - 1) * (-1)^j, zero for j beyond
-    ceil((h+1)/2). Division by j is exact; a remainder raises
-    NonIntegralCoefficient (must never happen)."""
-    t = (3 * j - h - 2) * _binom(h - j + 1, j - 1) * (-1) ** j
-    if t % j:
-        raise NonIntegralCoefficient(f"(h={h}, j={j}): {t} not divisible by {j}")
-    return t // j
+    """Closed form of -[x^j] d(h) for h >= 0, j >= 1: with m = h - j + 1,
+    ((3j - h - 2) / j) * C(m, j - 1) * (-1)^j, zero for j beyond ceil((h+1)/2),
+    where math.comb gives 0, and for m < 0.
+
+    The division by j is exact: 3j - h - 2 = 2j - m - 1 and
+    j * C(m, j) = (m - j + 1) * C(m, j - 1), so the numerator is
+    j * (C(m, j - 1) - C(m, j)) and the quotient is the integer
+    (-1)^j * (C(m, j - 1) - C(m, j))."""
+    m = h - j + 1
+    if m < 0:
+        return 0
+    return (3 * j - h - 2) * math.comb(m, j - 1) * (-1) ** j // j
 
 
 def denominator_poly(h: int) -> tuple[int, ...]:
@@ -114,18 +107,11 @@ def count_sequence(h: int, n_max: int) -> tuple[int, ...]:
 
 def catalan_identity(n: int, alpha: int) -> bool:
     """Check the Catalan-number identity obtained by cutting the recurrence
-    at bound n + alpha, where the class is all of the Catalan family.
-
-    A non-integral coefficient falsifies the identity as stated, so it
-    returns False rather than raising.
-    """
+    at bound n + alpha, where the class is all of the Catalan family."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     h = n + alpha
-    try:
-        total = sum(_coeff(h, j) * catalan(n - j) for j in range(1, n + 1))
-        return total - _coeff(h - 1, n) == catalan(n)
-    except NonIntegralCoefficient:
-        return False
+    total = sum(_coeff(h, j) * catalan(n - j) for j in range(1, n + 1))
+    return total - _coeff(h - 1, n) == catalan(n)

@@ -153,10 +153,11 @@ def _down_run_trace(p: dyck.DyckPath) -> list[tuple[perm_mod.LrMaximum, int]]:
 def _identity_checks(bounds: VerifyBounds) -> list[CheckResult]:
     """For fixed n, catalan_identity(n, alpha)'s left side minus C_n is a
     polynomial in alpha of degree <= n: with alpha >= 0 every binomial top
-    stays >= 0, so each _coeff(n + alpha, j), j <= n, has degree j in alpha,
-    and _coeff(n + alpha - 1, n) is _binom(alpha, n - 1) times a linear
-    factor. Its zeros at alpha = 0..n make it zero for every alpha >= 0 (the
-    "N_0 suffices" argument of Petkovsek, Wilf and Zeilberger, A = B)."""
+    stays >= 0, so _coeff's m < 0 cut never fires, each _coeff(n + alpha, j),
+    j <= n, has degree j in alpha, and _coeff(n + alpha - 1, n) is
+    comb(alpha, n - 1) times a linear factor. Its zeros at alpha = 0..n make
+    it zero for every alpha >= 0 (the "N_0 suffices" argument of Petkovsek,
+    Wilf and Zeilberger, A = B)."""
     n_max = bounds.identity_n_max
     sweep_bad = [
         (n, alpha)

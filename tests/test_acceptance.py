@@ -17,13 +17,12 @@ import pytest
 from dyck312 import dyck, eco, genfunc, prodmat, verify
 
 from test_dyck import valley_heights
+from test_genfunc import FIBONACCI
 
 # covers paths n<=10, avoiders n<=9, the cubic oracle n<=8, eco h=3..5 up to
 # level 10, the matrix at h=3..10 with per-label counts at n<=10, and the
 # identities at n<=12, alpha<=n, which settles every alpha>=0
 ACCEPTANCE_BOUNDS = verify.VerifyBounds(n_max=10)
-
-FIBONACCI = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597)
 
 # reference coefficient table, rows h = 1..14, columns j = 1..8
 COEFF_TABLE = [

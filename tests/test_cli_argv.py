@@ -1,14 +1,17 @@
 """The CLI's input contract over its integer options: every argv exits 0, 1 or
 2 in bounded time, no exception escapes main, and a usage error (exit 2) says
-so in one error line.
+so in one error line. Its output contract for JSON: every subcommand that
+offers --format json writes one object with schema_version 1 and its name.
 
 Each subcommand starts from one cheap base argv; each integer option that
-build_parser() states is replaced in turn by each value below, so a new
-integer option is swept with no edit here. Values at and past each cap stay
-with tests/test_cli_golden.py and CI.
+build_parser() states is replaced in turn by each value below, and each
+subcommand whose --format choices include json is run with it, so a new
+option or format is swept with no edit here. Values at and past each cap
+stay with tests/test_cli_golden.py and CI.
 """
 
 import argparse
+import json
 import signal
 
 import pytest
@@ -27,7 +30,7 @@ BASES = {
 }
 
 VALUES = [
-    *("-1", "0", "1", str(10**6)),
+    *("-1", "0", "1", str(10**3), str(10**6)),
     pytest.param("7" * 5000, id="5000-digits"),
     *("x", "", "0x10", "1e3", "٣"),
 ]
@@ -35,13 +38,26 @@ VALUES = [
 SECONDS = 20  # a bound on one call; the slowest value here takes well under 1 s
 
 
+def _subcommands():
+    """(name, parser) for every subcommand, in parser order."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices.items()
+
+
 def _integer_options():
     """(subcommand, option) for every option of type int, in parser order."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for name, parser in sub.choices.items():
+    for name, parser in _subcommands():
         for action in parser._actions:
             if action.type is int:
                 yield name, action.option_strings[-1]
+
+
+def _json_subcommands():
+    """Every subcommand whose --format choices include json, in parser order."""
+    for name, parser in _subcommands():
+        for action in parser._actions:
+            if "--format" in action.option_strings and "json" in action.choices:
+                yield name
 
 
 def _with(argv: list[str], option: str, value: str) -> list[str]:
@@ -92,3 +108,13 @@ def test_integer_option(capsys, name, option, value):
             assert errors == [len(lines) - 1], err
         else:
             assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("name", list(_json_subcommands()))
+def test_json_contract(capsys, name):
+    assert _call([*BASES[name], "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)  # one document: trailing data is an error
+    assert isinstance(doc, dict)
+    assert (doc["schema_version"], doc["command"]) == (1, name)

@@ -1,6 +1,7 @@
 """Golden CLI outputs: every README command, the usage errors, the cap errors,
-the paper's counts by every route at the 512 rail and at h = 97, and P_512 in
-both formats, pinned as (exit code, sha256 of stdout, sha256 of stderr).
+the paper's counts by every route at the 512 rail and at h = 97, and P_512 and
+the 512 x 512 coefficient table in both formats, pinned as (exit code, sha256
+of stdout, sha256 of stderr).
 
 GOLDEN is both the list of commands and their pins; each key is split on
 spaces into argv. A refactor must leave each entry unchanged. To add a
@@ -189,6 +190,8 @@ GOLDEN = {
     'matrix --h 512 --format json': (0, 'd45187d99f310643d7e4a5329d8c8a86d1cf5dece55b2d3ea7a65b4a639fd08a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'matrix --h 1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd96bdefe730eddece52351c2f15b3fcc54b9c6364ae3a99051e27ddfe5ecb3e4'),
     'table --h-max 14 --j-max 8': (0, '9e00c798e7746827651927fcc8baf1e1154e24d1e251f8257d6b45657c9b87c0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'table --h-max 512 --j-max 512 --format csv': (0, '16fcb7e11a00b84de00b1c44967cf7ddc72860e05027ef4bc8b8826c1d10a629', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'table --h-max 512 --j-max 512 --format json': (0, 'b559bb5ea7c23770d99ae3b39210c8402cf3e41985a7845f96c49599bbc69154', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 6 --j-max 4 --format text': (0, 'c29e9e319ea69354ca75488cd6a748901381a2da58dbc960bd182febc5c03f8b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 6 --j-max 4 --format csv': (0, 'b1399e795baff9f7036cfce1fd867cac6625d85ffa18c6cb5e881795cdc12381', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 6 --j-max 4 --format json': (0, '8805037d7b72039cc44e3b2e44c5770524ab80eecb36bf7ddf1f69fe53f0654c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
