@@ -144,14 +144,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def require_size(n: int) -> None:
-    """Raise unless enumerate_dyck accepts semilength n: 0 <= n <= DEFAULT_CAP."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > DEFAULT_CAP:
-        raise CapExceeded(f"semilength {n} exceeds cap {DEFAULT_CAP}")
-
-
 class DyckPaths:
     """The paths of semilength n, in lexicographic word order ('D' < 'U'):
     a sized view that makes each path as it is iterated, so an iteration
@@ -192,7 +184,10 @@ class DyckPaths:
 
 def enumerate_dyck(n: int) -> DyckPaths:
     """All paths of semilength n, as a DyckPaths view; the size is checked here."""
-    require_size(n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > DEFAULT_CAP:
+        raise CapExceeded(f"semilength {n} exceeds cap {DEFAULT_CAP}")
     return DyckPaths(n)
 
 

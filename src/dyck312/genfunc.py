@@ -88,14 +88,15 @@ def series(f: tuple[tuple[int, ...], tuple[int, ...]], n_max: int) -> tuple[int,
 
 def count_sequence(h: int, n_max: int) -> tuple[int, ...]:
     """Class counts for sizes 0..n_max: the series of d(h-1)/d(h) with both
-    polynomials built from the closed form _coeff, not the h-recurrence.
+    polynomials built from the closed form _coeff, not the h-recurrence. The
+    closed form holds at the seeds (_coeff(0, 1) = -1), so h = 1 gives (1 + x)/1.
 
     A rational series is a linear recurrence, so series() runs it: the count
     at size m is the coefficient-weighted sum of earlier counts minus the
     numerator's coefficient, which vanishes once m passes its degree.
     """
-    if h < 2:
-        raise ValueError(f"recurrence needs h >= 2, got {h}; height 1 is the 1+x series")
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 

@@ -84,7 +84,7 @@ class TestCount:
     @pytest.mark.parametrize(
         "argv, methods",
         [
-            (["--h", "1", "--n-max", "4"], ["series", "brute"]),
+            (["--h", "1", "--n-max", "4"], ["recurrence", "series", "brute"]),
             (["--h", "2", "--n-max", "4"], ["recurrence", "series", "matrix", "brute"]),
             (["--h", "3", "--n-max", "12"], list(ROUTES)),
             (["--h", "3", "--n-max", "14"], ["recurrence", "series", "matrix", "brute"]),
@@ -110,9 +110,16 @@ class TestCount:
         assert code == 2
         assert "brute" in err
 
-    def test_recurrence_needs_h2(self, capsys):
-        code, _, _ = run(capsys, "count", "--h", "1", "--n-max", "4", "--method", "recurrence")
-        assert code == 2
+    def test_recurrence_takes_h1(self, capsys):
+        # the closed form gives the seed d(0) = 1 + x, so h = 1 is no special case
+        code, out, err = run(capsys, "count", "--h", "1", "--n-max", "4", "--method", "recurrence")
+        assert (code, out, err) == (0, "1,1,0,0,0\n", "")
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    @pytest.mark.parametrize("method", [*ROUTES, "all"])
+    def test_k_below_two(self, capsys, method, k):
+        argv = ["count", "--h", "3", "--n-max", "4", "--method", method, "--k", k]
+        assert run(capsys, *argv) == (2, "", "error: --k must be >= 2\n")
 
     def test_eco_needs_h3(self, capsys):
         code, _, _ = run(capsys, "count", "--h", "2", "--n-max", "4", "--method", "eco")
@@ -120,14 +127,14 @@ class TestCount:
 
     def test_brute_cap(self, capsys):
         argv = ["count", "--h", "3", "--n-max", "15", "--method", "brute", "--k", "3", "--format", "json"]
-        assert run(capsys, *argv) == (2, "", "error: semilength 15 exceeds cap 14\n")
+        assert run(capsys, *argv) == (2, "", "error: --n-max above 14 is not supported\n")
 
     def test_brute_past_cap_enumerates_nothing(self, capsys, monkeypatch):
         # the cap is checked for --n-max before any smaller size is enumerated
         calls = []
         monkeypatch.setattr(dyck, "enumerate_dyck", lambda n: calls.append(n) or [])
         code, out, err = run(capsys, "count", "--h", "3", "--n-max", "15", "--method", "brute")
-        assert (code, out, err) == (2, "", "error: semilength 15 exceeds cap 14\n")
+        assert (code, out, err) == (2, "", "error: --n-max above 14 is not supported\n")
         assert calls == []
 
     def test_large_n_polynomial_methods(self, capsys):

@@ -1,28 +1,35 @@
-"""The CLI's input contract over its integer options: every argv exits 0, 1 or
-2 in bounded time, no exception escapes main, and a usage error (exit 2) says
-so in one error line. Its output contract for JSON: every subcommand that
-offers --format json writes one object with schema_version 1 and its name.
+"""The CLI's input contract over its integer and choice options: every argv
+exits 0, 1 or 2 in bounded time, no exception escapes main, and a usage error
+(exit 2) says so in one error line. Its output contract for JSON: every
+subcommand that offers --format json writes one object with schema_version 1
+and its name.
 
 Each subcommand starts from one cheap base argv; each integer option that
-build_parser() states is replaced in turn by each value below, and each
+build_parser() states is replaced in turn by each value below, each choice
+option by each of its choices and by one value outside them, and each
 subcommand whose --format choices include json is run with it, so a new
-option or format is swept with no edit here. Values at and past each cap
-stay with tests/test_cli_golden.py and CI.
+option, choice or format is swept with no edit here. count runs each route
+one past its reach, read from ROUTES, so a new route is swept too. The counts
+at each cap stay with tests/test_cli_golden.py and CI.
 """
 
 import argparse
+import io
 import json
 import signal
+import sys
 
 import pytest
 
 from dyck312.cli import build_parser, main
+from dyck312.counting import ROUTES
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 
 BASES = {
     "count": ["count", "--h", "3", "--n-max", "5"],
     "list": ["list", "--h", "3", "--n", "3"],
+    "map": ["map"],
     "tree": ["tree", "--h", "3", "--depth", "3"],
     "matrix": ["matrix", "--h", "3"],
     "table": ["table", "--h-max", "3", "--j-max", "3"],
@@ -34,6 +41,8 @@ VALUES = [
     pytest.param("7" * 5000, id="5000-digits"),
     *("x", "", "0x10", "1e3", "٣"),
 ]
+
+OUTSIDE = "none-of-these"  # a value no choice option offers
 
 SECONDS = 20  # a bound on one call; the slowest value here takes well under 1 s
 
@@ -50,6 +59,14 @@ def _integer_options():
         for action in parser._actions:
             if action.type is int:
                 yield name, action.option_strings[-1]
+
+
+def _choice_options():
+    """(subcommand, option, choices) for every option with choices, in parser order."""
+    for name, parser in _subcommands():
+        for action in parser._actions:
+            if action.choices is not None:
+                yield name, action.option_strings[-1], action.choices
 
 
 def _json_subcommands():
@@ -89,6 +106,23 @@ def _call(argv: list[str]) -> int:
         signal.signal(signal.SIGALRM, previous)
 
 
+def _assert_one_error(name: str, err: str) -> None:
+    """err is argparse's usage and one error line, or one error line of the command."""
+    lines = err.splitlines()
+    if lines[0].startswith("usage: "):
+        errors = [i for i, line in enumerate(lines) if f"dyck312 {name}: error: " in line]
+        assert errors == [len(lines) - 1], err
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.fixture(autouse=True)
+def stdin(monkeypatch):
+    # one empty line: the empty path and the empty permutation, so map succeeds in
+    # every direction; the other subcommands read no stdin
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n"))
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_base_succeeds(capsys, name):
     assert _call(BASES[name]) == 0
@@ -102,12 +136,32 @@ def test_integer_option(capsys, name, option, value):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     if code == 2:
-        lines = err.splitlines()
-        if lines[0].startswith("usage: "):  # argparse: usage, then one error line
-            errors = [i for i, line in enumerate(lines) if f"dyck312 {name}: error: " in line]
-            assert errors == [len(lines) - 1], err
-        else:
-            assert len(lines) == 1 and lines[0].startswith("error: "), err
+        _assert_one_error(name, err)
+
+
+@pytest.mark.parametrize(
+    "name, option, choice", [(n, o, c) for n, o, choices in _choice_options() for c in choices]
+)
+def test_choice(capsys, name, option, choice):
+    assert _call(_with(BASES[name], option, choice)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, option", [(n, o) for n, o, _ in _choice_options()])
+def test_outside_the_choices(capsys, name, option):
+    assert _call(_with(BASES[name], option, OUTSIDE)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    _assert_one_error(name, err)
+
+
+@pytest.mark.parametrize("method", ROUTES)
+def test_count_past_reach(capsys, method):
+    argv = _with(BASES["count"], "--method", method)
+    assert _call(_with(argv, "--n-max", str(ROUTES[method].reach + 1))) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    _assert_one_error("count", err)
 
 
 @pytest.mark.parametrize("name", list(_json_subcommands()))

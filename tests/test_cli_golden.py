@@ -41,9 +41,9 @@ def outcome(command: str) -> tuple[int, str, str]:
 
 
 GOLDEN = {
-    'count --h 1 --n-max 8 --method recurrence --format text': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '3dd10810fa1846f48013fcf648b5736159ca69e226690caedea259bf802492fd'),
-    'count --h 1 --n-max 8 --method recurrence --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '3dd10810fa1846f48013fcf648b5736159ca69e226690caedea259bf802492fd'),
-    'count --h 1 --n-max 8 --method recurrence --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '3dd10810fa1846f48013fcf648b5736159ca69e226690caedea259bf802492fd'),
+    'count --h 1 --n-max 8 --method recurrence --format text': (0, '34ca537b2d73499fea6dec6fc04ce7ddd2ad7a9c2141d3e32c67d68cd8aaebb0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'count --h 1 --n-max 8 --method recurrence --format csv': (0, 'd4757aa33daa3fc5068ff67c8885f55046f528e9e817f5ad4b98d130e30bc3ee', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'count --h 1 --n-max 8 --method recurrence --format json': (0, '2c849a984041aa9608c83b1ecc5b0d3b24fbacecb1b992ad06abe47e38515860', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 1 --n-max 8 --method series --format text': (0, '34ca537b2d73499fea6dec6fc04ce7ddd2ad7a9c2141d3e32c67d68cd8aaebb0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 1 --n-max 8 --method series --format csv': (0, '147422be35ad2ad72c9018619f60a11b569e6086a3aa6bb8329f582b3ded77b8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 1 --n-max 8 --method series --format json': (0, 'd849df26a4c00678ac54eeddcc59b7488ff2fb7e2142ab4552838b9a022ce40f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -57,8 +57,8 @@ GOLDEN = {
     'count --h 1 --n-max 8 --method eco --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'b5249509ca5600cff2a45996b5d2950e8ce677efefd1001317952d8211ef17f2'),
     'count --h 1 --n-max 8 --method eco --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'b5249509ca5600cff2a45996b5d2950e8ce677efefd1001317952d8211ef17f2'),
     'count --h 1 --n-max 8 --method all --format text': (0, '34ca537b2d73499fea6dec6fc04ce7ddd2ad7a9c2141d3e32c67d68cd8aaebb0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'count --h 1 --n-max 8 --method all --format csv': (0, '4d3ff4d2aa70de704bad91ace5f701ba7e00475d7d7f57b1692c773bf741febd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'count --h 1 --n-max 8 --method all --format json': (0, '353cf1a489f85b1a270dca55fc620f4abf2dab38930a9149eca7685e4bf5c438', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'count --h 1 --n-max 8 --method all --format csv': (0, 'fa4379ead7fbc597fe451c16867d65877056ed1f8661bd9a5bd3b7ab980e424d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'count --h 1 --n-max 8 --method all --format json': (0, '15484812579e806a0200e9b3c49234a82d36328d9e4c31fdbe59beee590a45dc', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 2 --n-max 8 --method recurrence --format text': (0, '30702384dae0a7198583578b0f9a90dd83049144dfebb32c37744b4b1cfce6ca', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 2 --n-max 8 --method recurrence --format csv': (0, '49331da28702a0685a856296fd7b340db0faaae95004aaa93d623bf80e26df22', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 2 --n-max 8 --method recurrence --format json': (0, '455f9e510db5b57da8add93cbcd50b6b71622fd5ca5e646080f6164ace4e8fad', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -121,8 +121,8 @@ GOLDEN = {
     'count --h 4 --n-max 300 --method series': (0, 'ab1cb79539de04623d92894278dc4474fc9c04e8e1f1a07aacfc420d7e39f2ab', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 3 --n-max 513 --method recurrence': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c8aacc3fabd470b773348c673d94a60c1169008972542056c6fbc1c01e86ae7c'),
     'count --h 2 --n-max 600': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '20b23746cfe7955869ebbb3e3b465061f8555e9f675a4bad27136fb0155d66a1'),
-    'count --h 3 --n-max 15 --method brute': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '2f15f934a93feade4ddad2273701347bf4e48c9240b7eeaaf5197c00f53b3354'),
-    'count --h 3 --n-max 13 --method eco': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c7db0042579fc597425103a1ea55b12ae31f579a272ac99f0314964942c88186'),
+    'count --h 3 --n-max 15 --method brute': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e184f16c60242ce15116f20bb88e12b215773abe0defbaf74ec1d8fd6f3d2092'),
+    'count --h 3 --n-max 13 --method eco': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'b93f62cf2adff65abbd0235dbc46935d28de4bffbc3124f04c4a481abd878b25'),
     'count --h 3 --n-max 15': (0, 'de849d623f12eaf8705c203130b5c63d2cb453c5bff6a556b721bf88ab9d9544', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'count --h 0 --n-max 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '2a1f209eb39cd37a4c86cd652e84a70d9aca41e730fb4235a721b6be855be71c'),
     'count --h 3 --n-max -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '68d9fd3ffff220681c47ad0c0b7e0ca0ec4e24ff3856922dfab8b6e6cbc755da'),

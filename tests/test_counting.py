@@ -52,16 +52,23 @@ def test_matrix_route_builds_no_matrix(monkeypatch):
 
 
 def test_clamp_never_lifts_h_past_least(bounds):
-    assert count(1, 0) == {"series": [1], "brute": [1]}
-    assert bounds == {"series": {1}, "brute": {1}}
+    assert count(1, 0) == {"recurrence": [1], "series": [1], "brute": [1]}
+    assert bounds == {"recurrence": {1}, "series": {1}, "brute": {1}}
     with pytest.raises(ValueError, match="--method eco needs --h >= 3"):
         count(2, 1, "eco")
 
 
+@pytest.mark.parametrize("name", ROUTES)
+def test_reach_is_checked_before_any_engine(bounds, name):
+    reach = ROUTES[name].reach
+    with pytest.raises(dyck.CapExceeded) as info:
+        count(3, reach + 1, name)
+    assert str(info.value) == f"--n-max above {reach} is not supported"
+    assert bounds == {}
+
+
 def test_cap_sets_the_reach_of_brute_and_eco(monkeypatch):
-    for name, n_max in (("brute", 15), ("eco", 13)):  # one past each cap
-        with pytest.raises(dyck.CapExceeded):
-            count(3, n_max, name)
+    assert (ROUTES["brute"].reach, ROUTES["eco"].reach) == (dyck.DEFAULT_CAP, eco.DEFAULT_TREE_CAP)
     # brute force at its cap is 2.67 M words; only which routes run is asked here
     monkeypatch.setattr(
         dyck, "count_brute", lambda n, h, k=2: genfunc.series(genfunc.generating_function(h), n)[n]

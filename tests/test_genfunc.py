@@ -147,18 +147,18 @@ class TestCountRecurrence:
     def test_matches_series(self):
         # at n = 200 the correction term runs on both sides of the numerator's
         # degree (25 at h = 50, 151 at h = 301); h = 301 > n is all Catalan
-        for h, n in [*((h, 12) for h in range(2, 8)), (50, 200), (301, 200)]:
+        for h, n in [*((h, 12) for h in range(1, 8)), (50, 200), (301, 200)]:
             seq = genfunc.count_sequence(h, n)
             assert seq == genfunc.series(genfunc.generating_function(h), n)
 
     def test_matches_brute(self):
-        for h in range(2, 6):
+        for h in range(1, 6):
             for n in range(9):
                 assert genfunc.count_sequence(h, n)[n] == dyck.count_brute(n, h, 2)
 
-    def test_rejects_height_one(self):
-        with pytest.raises(ValueError):
-            genfunc.count_sequence(1, 3)
+    def test_rejects_height_zero(self):
+        with pytest.raises(ValueError, match="^h must be >= 1, got 0$"):
+            genfunc.count_sequence(0, 3)
 
     def test_reads_only_the_coefficients_it_uses(self, monkeypatch):
         # d(999) and d(1000) have degree 500 and 501; sizes 0..3 read them through x^3
