@@ -5,15 +5,19 @@ the denominator family satisfies d(h) = d(h-1) - x*d(h-2), and the series for
 bound h is d(h-1)/d(h). The seeds d(0) = 1 + x and d(1) = 1 start the family,
 so height 1 is no special case: its series is (1 + x)/1. series() is the one
 expansion of the quotient; the series route feeds it the recurrence's
-polynomials, count_sequence those of the closed form _coeff. A polynomial is
-a tuple of integer coefficients, index = power of x. Everything here is
-integer arithmetic with two divisions, both exact: _coeff's by j, by the
-binomial identity in its docstring, and series()' by the denominator's
-constant term, which it requires to be +-1.
+polynomials, count_sequence those of the closed form _coeff. It remembers its
+last pair, so where the two routes build equal pairs (at every h >= 3) count()
+expands once, and the second route's lookup compares its pair with the
+first's, term by term; a mutated input makes its pair differ, and that pair is
+expanded on its own. A polynomial is a tuple of integer coefficients, index =
+power of x. Everything here is integer arithmetic with two divisions, both
+exact: _coeff's by j, by the binomial identity in its docstring, and series()'
+by the denominator's constant term, which it requires to be +-1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import mul
 
@@ -72,10 +76,17 @@ def generating_function(h: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def series(f: tuple[tuple[int, ...], tuple[int, ...]], n_max: int) -> tuple[int, ...]:
     """First n_max+1 power-series coefficients at 0 of the pair
-    (numerator, denominator), by exact long division."""
+    (numerator, denominator), by exact long division. The last expansion is
+    remembered, keyed on the pair as tuples: an equal pair is expanded once,
+    and a list changed in place is expanded anew."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     p, q = f
+    return _expand(tuple(p), tuple(q), n_max)
+
+
+@functools.lru_cache(maxsize=1)  # here, not on series: bench/tracer.py wraps plain functions
+def _expand(p: tuple[int, ...], q: tuple[int, ...], n_max: int) -> tuple[int, ...]:
     q0, tail = (q[0] if q else 0), q[1:]
     if q0 not in (1, -1):
         raise NonUnitConstantTerm(f"denominator constant term is {q0}")

@@ -7,10 +7,13 @@ and its name.
 Each subcommand starts from one cheap base argv; each integer option that
 build_parser() states is replaced in turn by each value below, each choice
 option by each of its choices and by one value outside them, and each
-subcommand whose --format choices include json is run with it, so a new
-option, choice or format is swept with no edit here. count runs each route
-one past its reach, read from ROUTES, so a new route is swept too. The counts
-at each cap stay with tests/test_cli_golden.py and CI.
+subcommand whose --format choices include json is run with it, on its base
+argv and again on every integer-option argv that exits 0, so a new option,
+choice or format is swept with no edit here. count runs each route at its
+reach and one past it, read from ROUTES, so a new route is swept too; brute
+force at its reach of 14 takes about 5 s, so it runs only in CI's
+`count --h 4 --n-max 14` step. The counts at each cap stay with GOLDEN in
+tests/test_cli_golden.py and with CI.
 """
 
 import argparse
@@ -77,6 +80,9 @@ def _json_subcommands():
                 yield name
 
 
+JSON_SUBCOMMANDS = list(_json_subcommands())
+
+
 def _with(argv: list[str], option: str, value: str) -> list[str]:
     """argv with option's value replaced by value, or with the option added."""
     if option not in argv:
@@ -106,6 +112,16 @@ def _call(argv: list[str]) -> int:
         signal.signal(signal.SIGALRM, previous)
 
 
+def _assert_json(capsys, name: str, argv: list[str]) -> None:
+    """argv exits 0 with empty stderr and writes one JSON object naming name."""
+    assert _call(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)  # one document: trailing data is an error
+    assert isinstance(doc, dict)
+    assert (doc["schema_version"], doc["command"]) == (1, name)
+
+
 def _assert_one_error(name: str, err: str) -> None:
     """err is argparse's usage and one error line, or one error line of the command."""
     lines = err.splitlines()
@@ -132,11 +148,14 @@ def test_base_succeeds(capsys, name):
 @pytest.mark.parametrize("value", VALUES, ids=repr)
 @pytest.mark.parametrize("name, option", list(_integer_options()))
 def test_integer_option(capsys, name, option, value):
-    code = _call(_with(BASES[name], option, value))
+    argv = _with(BASES[name], option, value)
+    code = _call(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     if code == 2:
         _assert_one_error(name, err)
+    if code == 0 and name in JSON_SUBCOMMANDS:
+        _assert_json(capsys, name, _with(argv, "--format", "json"))
 
 
 @pytest.mark.parametrize(
@@ -155,6 +174,15 @@ def test_outside_the_choices(capsys, name, option):
     _assert_one_error(name, err)
 
 
+@pytest.mark.parametrize("method", [m for m in ROUTES if m != "brute"])
+def test_count_at_reach(capsys, method):
+    argv = _with(BASES["count"], "--method", method)
+    assert _call(_with(argv, "--n-max", str(ROUTES[method].reach))) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(out.split(",")) == ROUTES[method].reach + 1
+
+
 @pytest.mark.parametrize("method", ROUTES)
 def test_count_past_reach(capsys, method):
     argv = _with(BASES["count"], "--method", method)
@@ -164,11 +192,6 @@ def test_count_past_reach(capsys, method):
     _assert_one_error("count", err)
 
 
-@pytest.mark.parametrize("name", list(_json_subcommands()))
+@pytest.mark.parametrize("name", JSON_SUBCOMMANDS)
 def test_json_contract(capsys, name):
-    assert _call([*BASES[name], "--format", "json"]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    doc = json.loads(out)  # one document: trailing data is an error
-    assert isinstance(doc, dict)
-    assert (doc["schema_version"], doc["command"]) == (1, name)
+    _assert_json(capsys, name, [*BASES[name], "--format", "json"])

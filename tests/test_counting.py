@@ -78,6 +78,18 @@ def test_cap_sets_the_reach_of_brute_and_eco(monkeypatch):
     assert list(count(3, eco.DEFAULT_TREE_CAP)) == list(ROUTES)
 
 
+@pytest.mark.parametrize(
+    "h, n_max, method, hits",
+    [(97, 512, "all", 1), (193, 192, "all", 1), (97, 512, "series", 0)],
+)
+def test_equal_pairs_are_expanded_once(h, n_max, method, hits):
+    # the recurrence route expands first; the series route's equal pair (h = 193
+    # is clamped to 192) is a hit, and a lone series route has nothing to reuse
+    genfunc._expand.cache_clear()
+    count(h, n_max, method)
+    assert genfunc._expand.cache_info()[:2] == (hits, 1)
+
+
 def test_unknown_method_names_the_routes():
     with pytest.raises(ValueError) as info:
         count(3, 4, "nope")
@@ -102,16 +114,17 @@ def _bump(terms, i):
 
 
 @pytest.mark.parametrize(
-    "attr, mutant, n, wrong",
+    "attr, mutant, n, wrong, misses",
     [
         # the recurrence's own input: the closed form's x^2 term, in d(h-1) and d(h) alike
-        ("_coeff", lambda real: lambda h, j: real(h, j) + (j == 2), 3, {"recurrence": 6}),
+        ("_coeff", lambda real: lambda h, j: real(h, j) + (j == 2), 3, {"recurrence": 6}, 2),
         # the series route's own input: d(h)'s x^2 term from the h-recurrence
         (
             "generating_function",
             lambda real: lambda h: (real(h)[0], _bump(real(h)[1], 2)),
             2,
             {"series": 1},
+            2,
         ),
         # the expansion loop both series routes share
         (
@@ -119,14 +132,20 @@ def _bump(terms, i):
             lambda real: lambda f, n: _bump(real(f, n), 3),
             3,
             {"recurrence": 6, "series": 6},
+            1,
         ),
     ],
     ids=["closed form", "h-recurrence", "shared loop"],
 )
-def test_each_input_and_the_shared_loop_is_cross_checked(monkeypatch, attr, mutant, n, wrong):
+def test_each_input_and_the_shared_loop_is_cross_checked(
+    monkeypatch, attr, mutant, n, wrong, misses
+):
     # the matrix, brute and eco routes read none of these, so they keep the true count
     monkeypatch.setattr(genfunc, attr, mutant(getattr(genfunc, attr)))
+    genfunc._expand.cache_clear()
     with pytest.raises(MethodDisagreement) as info:
         count(5, 8)
     assert info.value.n == n
     assert info.value.values == {m: dyck.catalan(n) for m in ROUTES} | wrong
+    # a mutated input makes its route's pair differ, so that pair is expanded on its own
+    assert genfunc._expand.cache_info().misses == misses

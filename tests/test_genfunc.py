@@ -131,6 +131,37 @@ class TestSeries:
             assert tuple(cur) == genfunc.series(genfunc.generating_function(h), n)
             prev = cur
 
+    def test_lists_are_read_as_their_values(self):
+        # the memo keys on tuples of the coefficients, never on the caller's lists
+        p, q = [1], [1, -1]
+        assert genfunc.series((p, q), 4) == (1, 1, 1, 1, 1)
+        q[1] = -2
+        assert genfunc.series((p, q), 4) == (1, 2, 4, 8, 16)
+        p.append(1)
+        assert genfunc.series((p, q), 4) == (1, 3, 6, 12, 24)
+
+
+@pytest.mark.parametrize(
+    "h, n_max", [*((h, h) for h in range(3, 65)), *((h, 512) for h in (97, 192, 511, 512))]
+)
+def test_both_routes_build_one_pair(h, n_max):
+    # the premise of series()' memo: from h = 3 on, the closed form and the
+    # h-recurrence give the same tuples, so the second expansion is a lookup
+    genfunc._expand.cache_clear()
+    genfunc.count_sequence(h, n_max)
+    assert genfunc._expand.cache_info()[:2] == (0, 1)
+    genfunc.series(genfunc.generating_function(h), n_max)
+    assert genfunc._expand.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_low_heights_build_two_pairs(h):
+    # the closed form's d(1) is (1, 0) and the h-recurrence's is (1,): d(1) is
+    # h = 1's denominator and h = 2's numerator, so both pairs are expanded
+    genfunc._expand.cache_clear()
+    assert genfunc.count_sequence(h, h) == genfunc.series(genfunc.generating_function(h), h)
+    assert genfunc._expand.cache_info()[:2] == (0, 2)
+
 
 class TestCountRecurrence:
     def test_examples(self):
