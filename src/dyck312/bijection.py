@@ -69,6 +69,6 @@ def lrm_heights(pi: Permutation) -> list[tuple[LrMaximum, int]]:
 
 def _require_avoids_312(pi: Permutation) -> None:
     """Raise Not312Avoiding unless pi avoids 312: the one operand check of
-    perm_to_path and lrm_heights, also made on map's lines left unmapped."""
+    perm_to_path and lrm_heights."""
     if not avoids_312(pi):
         raise Not312Avoiding(f"'{pi}' contains 312")

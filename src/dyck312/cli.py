@@ -259,7 +259,6 @@ def _list_json(head: str, rows: Iterable[tuple[str, int]]) -> Iterator[str]:
 
 def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
     failed = False
-    checking = False  # set once _emit is done: the lines left are checked, not mapped
 
     def mapped() -> Iterator[str]:
         nonlocal failed
@@ -269,19 +268,11 @@ def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
             direction = args.direction
             if direction == "auto":
                 direction = "to-perm" if set(line) <= {"U", "D"} else "to-path"
-            text = ""
             try:
-                if direction == "to-perm":
-                    if checking:
-                        dyck.parse_path(line)
-                    else:  # path_to_perm checks the word in the pass that maps it
-                        text = str(bijection.path_to_perm(dyck.DyckPath(line)))
+                if direction == "to-perm":  # path_to_perm checks the word in the pass that maps it
+                    text = str(bijection.path_to_perm(dyck.DyckPath(line)))
                 else:
-                    pi = perm_mod.parse_perm(line)
-                    if checking:
-                        bijection._require_avoids_312(pi)
-                    else:
-                        text = str(bijection.perm_to_path(pi))
+                    text = str(bijection.perm_to_path(perm_mod.parse_perm(line)))
             except ValueError as exc:
                 print(f"line {i}: {exc}", file=sys.stderr)
                 failed = True
@@ -291,10 +282,8 @@ def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
     lines = mapped()
 
     def code() -> int:
-        # a reader that left (`| head`) stopped _emit early: the rest of stdin is
-        # still checked, not mapped, so the exit code and the messages cover every line
-        nonlocal checking
-        checking = True
+        # a reader that left (`| head`) stopped _emit early: the rest of stdin is still
+        # read and mapped, so the exit code and the messages cover every line
         for _ in lines:
             pass
         return 1 if failed else 0

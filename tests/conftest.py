@@ -1,8 +1,13 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import settings
 
 from dyck312 import dyck, perm
+
+# CI's fixed-seed run: `pytest --hypothesis-profile=ci` draws the same examples on every
+# run, ten times as many as the default profile that tier-1 keeps
+settings.register_profile("ci", derandomize=True, max_examples=10 * settings.default.max_examples)
 
 
 @pytest.fixture(scope="session")

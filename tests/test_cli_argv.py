@@ -1,31 +1,46 @@
 """The CLI's input contract over its integer and choice options: every argv
-exits 0, 1 or 2 in bounded time, no exception escapes main, and a usage error
-(exit 2) says so in one error line. Its output contract for JSON: every
-subcommand that offers --format json writes one object with schema_version 1
-and its name.
+exits 0, 1 or 2 in bounded time and memory, no exception escapes main, and a
+usage error (exit 2) says so in one error line. Its output contract for JSON:
+every subcommand that offers --format json writes one object with
+schema_version 1 and its name. Its --out contract: every subcommand writes to
+a new file the bytes it writes to stdout, and exits 2 with one error line on a
+directory, a missing directory or no name. map's stdin contract, drawn by
+hypothesis: each line maps as it does alone, and each malformed one is named
+by its own line number.
 
 Each subcommand starts from one cheap base argv; each integer option that
 build_parser() states is replaced in turn by each value below, each choice
 option by each of its choices and by one value outside them, and each
 subcommand whose --format choices include json is run with it, on its base
-argv and again on every integer-option argv that exits 0, so a new option,
-choice or format is swept with no edit here. count runs each route at its
-reach and one past it, read from ROUTES, so a new route is swept too; brute
-force at its reach of 14 takes about 5 s, so it runs only in CI's
-`count --h 4 --n-max 14` step. The counts at each cap stay with GOLDEN in
-tests/test_cli_golden.py and with CI.
+argv and again on every integer-option argv that exits 0, and every
+subcommand is run with four --out values, so a new subcommand, option,
+choice or format is swept with no edit here but its base argv. count runs
+each route at its reach and one past it, read from ROUTES, so a new route is
+swept too; brute force at its reach of 14 takes about 5 s, so it runs only in
+CI's `count --h 4 --n-max 14` step. The counts at each cap stay with GOLDEN in
+tests/test_cli_golden.py and with CI. CI runs the map property again under
+the hypothesis profile ci (tests/conftest.py): ten times the examples, the
+same ones on every run.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import signal
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyck312.cli import build_parser, main
 from dyck312.counting import ROUTES
+
+from strategies import perm_tuples
+from test_equivalence import path_texts
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 
@@ -48,12 +63,16 @@ VALUES = [
 OUTSIDE = "none-of-these"  # a value no choice option offers
 
 SECONDS = 20  # a bound on one call; the slowest value here takes well under 1 s
+PEAK_MB = 16  # a bound on one call's traced memory; the largest peak here is about 0.2 MB
 
 
 def _subcommands():
     """(name, parser) for every subcommand, in parser order."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices.items()
+
+
+SUBCOMMANDS = [name for name, _ in _subcommands()]
 
 
 def _integer_options():
@@ -100,16 +119,32 @@ def _alarm(signum, frame):
 
 
 def _call(argv: list[str]) -> int:
-    """main's exit code, argparse's included, within SECONDS of wall time."""
+    """main's exit code, argparse's included, within SECONDS of wall time and
+    PEAK_MB of memory traced by tracemalloc."""
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(SECONDS)
+    tracemalloc.start()
     try:
-        return main(argv)
+        code = main(argv)
     except SystemExit as exc:  # argparse's usage errors; no command raises it
-        return exc.code
+        code = exc.code
     finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert peak <= PEAK_MB * 2**20, f"{argv} peaked at {peak / 2**20:.1f} MB"
+    return code
+
+
+def _map(text: str) -> tuple[int, str, str]:
+    """map's exit code, stdout and stderr on stdin text, with no fixture: a
+    hypothesis example runs it many times within one test."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _call(["map"])
+    return code, out.getvalue(), err.getvalue()
 
 
 def _assert_json(capsys, name: str, argv: list[str]) -> None:
@@ -195,3 +230,63 @@ def test_count_past_reach(capsys, method):
 @pytest.mark.parametrize("name", JSON_SUBCOMMANDS)
 def test_json_contract(capsys, name):
     _assert_json(capsys, name, [*BASES[name], "--format", "json"])
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_out_file_holds_stdout(capsys, monkeypatch, tmp_path, name):
+    code = _call(BASES[name])
+    out, err = capsys.readouterr()
+    assert out
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n"))  # map read the first one
+    target = tmp_path / "out.txt"
+    assert _call([*BASES[name], "--out", str(target)]) == code
+    assert capsys.readouterr() == ("", err)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory", "no-name"])
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_out_cannot_be_written(capsys, monkeypatch, tmp_path, name, where):
+    monkeypatch.chdir(tmp_path)  # realpath("") would name the working directory
+    out = {"directory": str(tmp_path), "missing-directory": "missing/out.txt", "no-name": ""}
+    assert _call([*BASES[name], "--out", out[where]]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    _assert_one_error(name, err)
+    if where == "no-name":
+        assert err == "error: --out names no file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+MALFORMED = ["UDX", "UUD", "DU", "3 1 2", "1 1", "x y"]
+
+SEPARATORS = [" ", ", ", "\t"]
+
+map_lines = st.one_of(
+    path_texts.filter(lambda text: "\n" not in text),  # a fault may draw a newline
+    st.builds(lambda t, sep: sep.join(map(str, t)), perm_tuples(), st.sampled_from(SEPARATORS)),
+    st.sampled_from(MALFORMED),
+)
+
+
+@given(
+    st.lists(map_lines, max_size=12),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+def test_map_maps_each_line_as_alone(lines, newline, final):
+    text = newline.join(lines)
+    if lines and (final or not lines[-1]):  # an empty last line is read only if it ends
+        text += newline
+    alone = [_map(line + "\n") for line in lines]
+    errors = []
+    for i, (line, (code, out, err)) in enumerate(zip(lines, alone), start=1):
+        assert code == 1 if line in MALFORMED else code in (0, 1), line
+        if code:
+            assert out == "" and err.startswith("line 1: ") and err.count("\n") == 1, err
+            errors.append(f"line {i}: " + err.removeprefix("line 1: "))
+    assert _map(text) == (
+        1 if errors else 0,
+        "".join(out for _, out, _ in alone),
+        "".join(errors),
+    )
