@@ -128,6 +128,15 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     # yields it (a JSON document, a row of counts), so the longest output is not copied
     first += "\n"
     text = itertools.chain((first,), (f"{line}\n" for line in lines))
+    try:
+        st = None if out is None else os.stat(out)
+    except FileNotFoundError:
+        st = None
+    # the file stdout is open on (/dev/stdout, or its name) is written as stdout, from
+    # its offset, as a `>>` redirect asks; stdout closed or with no descriptor is no file
+    with contextlib.suppress(OSError, ValueError):
+        if st and os.path.samestat(st, os.fstat(sys.stdout.fileno())):
+            out = None
     if out is None:
         try:
             sys.stdout.writelines(text)
@@ -139,11 +148,7 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return
-    try:
-        mode = os.stat(out).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+    if st and not stat.S_ISREG(st.st_mode):
         # a device or pipe: there is no file to replace, so write through it; a
         # directory cannot be opened for writing, and the OSError exits 2
         with open(out, "w") as fh:
@@ -159,8 +164,8 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         with open(tmp, "x") as fh:
             made = True
             fh.writelines(text)
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
+        if st:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, target)
         made = False
     except OSError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import repeat
+from itertools import accumulate, repeat
 
 DEFAULT_CAP = 14  # exhaustive-enumeration bound; semilength 14 is ~2.7M paths
 
@@ -60,8 +60,13 @@ class DyckPath(namedtuple("DyckPath", "word")):
 def parse_path(text: str) -> DyckPath:
     """Validate a U/D string and wrap it.
 
-    Raises InvalidCharacter, NegativePrefix or Unbalanced, each carrying the
-    first offending index.
+    Raises the first fault, with its index:
+    - InvalidCharacter where the loop meets c, at text.index(c): every
+      character before it is a step, and none dips below the axis, or the
+      loop would have stopped there;
+    - NegativePrefix at the first step whose level is -1;
+    - Unbalanced at the up step after the last return to level 0, or 0 if
+      there is none: no later step returns to the axis, so it is unmatched.
     """
     level = 0
     for c in text:
@@ -72,25 +77,15 @@ def parse_path(text: str) -> DyckPath:
             if level < 0:
                 break
         else:
-            break
+            raise InvalidCharacter(text.index(c), c)
     else:
         if not level:
             return DyckPath(text)
-    # invalid: the loop again, now with the indices, to name the first fault
-    level = 0
-    base = 0  # index of the latest up step taken from the axis
-    for i, c in enumerate(text):
-        if c == "U":
-            if not level:
-                base = i
-            level += 1
-        elif c == "D":
-            level -= 1
-            if level < 0:
-                raise NegativePrefix(i)
-        else:
-            raise InvalidCharacter(i, c)
-    raise Unbalanced(base)  # no return to the axis after base: it is the first unmatched up
+    # read lazily up to the fault, so every character read is a step
+    levels = enumerate(accumulate(map({"U": 1, "D": -1}.__getitem__, text)))
+    if level < 0:
+        raise NegativePrefix(next(i for i, l in levels if l < 0))
+    raise Unbalanced(max((i + 1 for i, l in levels if not l), default=0))
 
 
 def height(p: DyckPath) -> int:

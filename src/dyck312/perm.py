@@ -87,21 +87,6 @@ def _integer(token: str) -> int:
     raise NotAPermutation(f"not an integer: {token!r}", token)
 
 
-def _avoids_312_seq(entries) -> bool:
-    # a new maximum pushes every value up to it and pops itself; any other
-    # entry must be the one popped
-    stack: list[int] = []
-    top = 0  # the largest entry so far: 1..top have been pushed
-    for v in entries:
-        if v > top:
-            if v > top + 1:  # often v is top + 1, and nothing stays pushed
-                stack.extend(range(top + 1, v))
-            top = v
-        elif stack.pop() != v:  # v < top, pushed and not yet popped: the stack holds it
-            return False
-    return True
-
-
 def avoids_312(pi: Permutation) -> bool:
     """True iff no indices a<b<c have entries[a] > entries[c] > entries[b].
 
@@ -109,7 +94,18 @@ def avoids_312(pi: Permutation) -> bool:
     when pi avoids 312 (Knuth, TAOCP Vol. 1, 2.2.1, Ex. 5); avoids_312_cubic
     is the literal cubic definition kept as the cross-validation oracle.
     """
-    return _avoids_312_seq(pi.entries)
+    # a new maximum pushes every value up to it and pops itself; any other
+    # entry must be the one popped
+    stack: list[int] = []
+    top = 0  # the largest entry so far: 1..top have been pushed
+    for v in pi.entries:
+        if v > top:
+            if v > top + 1:  # often v is top + 1, and nothing stays pushed
+                stack.extend(range(top + 1, v))
+            top = v
+        elif stack.pop() != v:  # v < top, pushed and not yet popped: the stack holds it
+            return False
+    return True
 
 
 def avoids_312_cubic(pi: Permutation) -> bool:

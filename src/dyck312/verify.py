@@ -242,43 +242,44 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
 
 
 def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
+    rule_hs, row_hs, label_hs, label_ns, fib_n = range(3, 11), range(2, 9), range(3, 7), range(11), 16
     out: list[CheckResult] = []
 
     bad = [
         f"h={h}"
-        for h in range(3, 11)
+        for h in rule_hs
         if prodmat.matrix_from_rule(eco.succession_rule(h)).rows
         != prodmat.production_matrix(h).rows
     ]
-    out.append(_result("rule-matrix-equality", bad, "h=3..10"))
+    out.append(_result("rule-matrix-equality", bad, f"h={rule_hs[0]}..{rule_hs[-1]}"))
 
     bad = []
-    for h in range(2, 9):
+    for h in row_hs:
         m = prodmat.production_matrix(h)
         for i, row in enumerate(m.rows, start=1):
             if sum(row) != i:
                 bad.append(f"h={h}, row ({i})")
-    out.append(_result("row-sums-match-labels", bad, "h=2..8"))
+    out.append(_result("row-sums-match-labels", bad, f"h={row_hs[0]}..{row_hs[-1]}"))
 
     bad = []
-    for h in range(3, 7):
+    for h in label_hs:
         rule = eco.succession_rule(h)
         m = prodmat.matrix_from_rule(rule)
-        for n in range(11):
+        for n in label_ns:
             total, vec = prodmat.level_count(m, rule.axiom, n)
             sym_total, sym_labels = eco.symbolic_counts(rule, n)
             as_dict = {i + 1: v for i, v in enumerate(vec) if v}
             if total != sym_total or as_dict != sym_labels:
                 bad.append(f"h={h}, n={n}")
-    out.append(_result("per-label-level-counts", bad, "h=3..6, n<=10"))
+    out.append(_result("per-label-level-counts", bad, f"h={label_hs[0]}..{label_hs[-1]}, n<={label_ns[-1]}"))
 
-    fib = genfunc.series(genfunc.generating_function(2), 16)
+    fib = genfunc.series(genfunc.generating_function(2), fib_n)
     routes = {  # h = 2 is where height_totals' last row adds x[0]
-        "level_totals": prodmat.level_totals(prodmat.production_matrix(2), 1, 16),
-        "height_totals": prodmat.height_totals(2, 16),
+        "level_totals": prodmat.level_totals(prodmat.production_matrix(2), 1, fib_n),
+        "height_totals": prodmat.height_totals(2, fib_n),
     }
     bad = [f"{route}: {totals} != {fib}" for route, totals in routes.items() if totals != fib]
-    out.append(_result("fibonacci-level-counts", bad, "n<=16"))
+    out.append(_result("fibonacci-level-counts", bad, f"n<={fib_n}"))
     return out
 
 

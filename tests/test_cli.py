@@ -769,8 +769,8 @@ class TestOutputFile(object):
         assert os.path.islink(tmp)  # not this run's file, so not removed
 
     def test_fifo_target(self, capsys, tmp_path):
-        # a target that is not a regular file (a pipe here, /dev/null or /dev/stdout
-        # in use) is written to directly, never replaced by a file
+        # a target that is not a regular file (a pipe here, or /dev/null) is written
+        # to directly, never replaced by a file
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
@@ -782,6 +782,20 @@ class TestOutputFile(object):
             os.close(reader)
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    @pytest.mark.parametrize("by", ["/dev/stdout", "name"])
+    def test_stdout_file_is_appended_to(self, tmp_path, by):
+        # `--out /dev/stdout >> f`: the file that stdout is open on, named either way, is
+        # written as stdout, after what it held; a rename would replace it
+        target = tmp_path / "f"
+        target.write_text("hi\n")
+        out = "/dev/stdout" if by == "/dev/stdout" else str(target)
+        cmd = [sys.executable, "-m", "dyck312", "count", "--h", "3", "--n-max", "4", "--out", out]
+        with open(target, "a") as fh:
+            proc = subprocess.run(cmd, stdout=fh, stderr=subprocess.PIPE, env=SUBPROCESS_ENV, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert target.read_text() == "hi\n1,1,2,5,12\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dyck312.__file__))}

@@ -8,6 +8,7 @@ class with the same index and message.
 
 import json
 import re
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -187,8 +188,9 @@ def random_dyck_word(rng, n: int) -> str:
 def long_words(draw):
     """A Dyck word of semilength up to 300, valid or with one fault: a bad
     character or an extra 'D' at a drawn position, a leading 'D', or its final
-    'D' dropped. But for a leading 'D', parse_path's first loop runs far
-    before the error sends it to the loop that names it."""
+    'D' dropped. But for a leading 'D', parse_path's loop runs far before it
+    meets the fault, and a dip or an unmatched up is then named by reading the
+    levels again, as far or to the end."""
     word = random_dyck_word(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 300)))
     i = draw(st.integers(0, len(word) - 1))
     fault = draw(st.sampled_from(["none", "char", "leading", "dropped", "extra"]))
@@ -209,6 +211,35 @@ path_texts = st.one_of(st.text("UD", max_size=40), st.text("UDX", max_size=40), 
 @given(path_texts)
 def test_parse_path(text):
     assert outcome(dyck.parse_path, text) == outcome(ref_parse_path, text)
+
+
+def test_parse_path_on_every_short_text():
+    # each fault at each index, and the first of several: all 29,524 texts of length <= 9
+    for length in range(10):
+        for t in product("UDx", repeat=length):
+            text = "".join(t)
+            assert outcome(dyck.parse_path, text) == outcome(ref_parse_path, text), text
+
+
+@pytest.mark.parametrize(
+    "text, fault, index",
+    [
+        ("U" * 300_001 + "D" * 299_999, Unbalanced, 0),
+        ("U" * 299_999 + "D" * 300_000 + "U", NegativePrefix, 599_998),
+    ],
+    ids=["unbalanced-mountain", "dip-near-the-end"],
+)
+def test_parse_path_names_a_late_fault_in_constant_memory(text, fault, index):
+    # the levels are read one at a time: a list of these 600,000 would take megabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(fault) as info:
+            dyck.parse_path(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.index == index
+    assert peak < 64 * 1024, peak
 
 
 @given(path_texts)

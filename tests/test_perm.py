@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyck312 import dyck, perm
-from dyck312.perm import LrMaximum, NotAPermutation, Permutation, _avoids_312_seq
+from dyck312.perm import LrMaximum, NotAPermutation, Permutation, _trusted
 
 from strategies import perm_tuples
 
@@ -110,9 +110,9 @@ class TestAvoids312:
             assert len(pis) == dyck.catalan(n)
 
     def test_avoider_count_n10(self):
-        # full 10! sweep; uses the shared scan directly to keep it quick
+        # full 10! sweep; each tuple is wrapped unchecked to keep it quick
         count = sum(
-            1 for t in permutations(range(1, 11)) if _avoids_312_seq(t)
+            1 for t in permutations(range(1, 11)) if perm.avoids_312(_trusted(t))
         )
         assert count == dyck.catalan(10)
 
