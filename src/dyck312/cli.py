@@ -8,9 +8,9 @@ A command whose code depends on every line it writes (map) returns the code as
 a callable instead, which main calls after the lines are written.
 
 Exit codes: 0 success, 1 verification failure, method disagreement or a
-malformed map input line, 2 usage or parse errors, or an --out file that
-cannot be written. Output is deterministic for fixed arguments; JSON
-documents carry schema_version 1.
+malformed map input line, 2 usage or parse errors, a closed stdout (with no
+--out) or stdin (map), or an --out file that cannot be written. Output is
+deterministic for fixed arguments; JSON documents carry schema_version 1.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ def main(argv=None) -> int:
         # for stdout or for the working directory, which realpath("") names
         if args.out == "":
             raise ValueError("--out names no file")
+        # CPython sets sys.stdout to None when fd 1 is closed at start (`>&-`)
+        if args.out is None and sys.stdout is None:
+            raise ValueError("stdout is closed")
         code, lines = args.func(args)
         _emit(lines, args.out)
         return code() if callable(code) else code
@@ -133,9 +136,9 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     except FileNotFoundError:
         st = None
     # the file stdout is open on (/dev/stdout, or its name) is written as stdout, from
-    # its offset, as a `>>` redirect asks; stdout closed or with no descriptor is no file
+    # its offset, as a `>>` redirect asks; stdout None, closed or with no descriptor is no file
     with contextlib.suppress(OSError, ValueError):
-        if st and os.path.samestat(st, os.fstat(sys.stdout.fileno())):
+        if st and sys.stdout is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno())):
             out = None
     if out is None:
         try:
@@ -263,6 +266,8 @@ def _list_json(head: str, rows: Iterable[tuple[str, int]]) -> Iterator[str]:
 
 
 def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
+    if sys.stdin is None:  # fd 0 was closed at start (`<&-`)
+        raise ValueError("stdin is closed")
     failed = False
 
     def mapped() -> Iterator[str]:

@@ -58,29 +58,24 @@ def _initial_ups(word: str) -> int:
     return len(word) - len(word.lstrip("U"))
 
 
-def _label(run: int, h: int) -> Label:
-    """Label of a path whose initial up-run has length run: run+1, except h-1
-    when the run reaches h. The empty path (run 0) gets 1."""
-    return h - 1 if run == h else run + 1
-
-
-def _sites(t: int, h: int) -> int:
-    """The number of active sites, so of children, of a class member whose word
-    starts with t ups, or whose permutation starts with t (0 when it is empty):
-    one before each up of the run and one right after it (t+1 sites) when
-    t < h, and only the sites before the first h-1 ups when t = h."""
+def _label(t: int, h: int) -> Label:
+    """The label of a class member whose word starts with t ups, or whose
+    permutation starts with t (0 when it is empty): its number of active sites,
+    so of children. One site before each up of the run and one right after it
+    give t+1 when t < h; at t = h only the sites before the first h-1 ups are
+    active, so h-1."""
     return t + 1 if t < h else h - 1
 
 
 def grow(word: str, h: int) -> list[tuple[str, Label]]:
     """One peak-insertion step: (child word, child label) per active site
-    (see _sites), in site order.
+    (see _label), in site order.
 
     Inserting UD at site i gives the child an initial run of i+1. The empty
     word grows into UD. The word must be a class member and h >= 3;
     children() and label_of() check both.
     """
-    sites = _sites(_initial_ups(word), h)
+    sites = _label(_initial_ups(word), h)
     return [(word[:i] + "UD" + word[i:], _label(i + 1, h)) for i in range(sites)]
 
 
@@ -91,8 +86,7 @@ def children(p: DyckPath, h: int) -> list[DyckPath]:
 
 
 def label_of(p: DyckPath, h: int) -> Label:
-    """Tree label: 1 for the empty path, t+1 for t <= h-1 initial ups, h-1
-    when the initial run has length exactly h."""
+    """Tree label of a path, by its initial up-run (see _label)."""
     _require_member(p, h)
     return _label(_initial_ups(p.word), h)
 
@@ -180,36 +174,36 @@ def _walk(h: int, depth: int) -> Iterator[tuple[str, Label]]:
 def level_sizes(h: int, n_max: int) -> list[int]:
     """The sizes of levels 0..n_max of the path generating tree: the nodes
     walk(h, n_max) yields, counted by semilength. The walk stops a level
-    short and each node of level n_max-1 adds its site count to level n_max,
-    so the last level, the largest, is counted but never made."""
+    short; each node of level n_max-1 adds its label, its number of children,
+    to level n_max, so the last level, the largest, is counted but never made."""
     _require_h(h)
     _require_depth("n_max", n_max)
     sizes = [0] * (n_max + 1)
     last = 2 * n_max - 2  # the length of a word on level n_max-1
-    for word, _ in _walk(h, n_max - 1):
+    for word, label in _walk(h, n_max - 1):
         n = len(word) // 2
         sizes[n] += 1
         if len(word) == last:
-            sizes[n_max] += _sites(_initial_ups(word), h)
+            sizes[n_max] += label
     return sizes
 
 
 def perm_children(pi: Permutation, h: int) -> list[Permutation]:
-    """Prepend each value 1.._sites(f, h) in ascending order, f the first entry
-    (0 when empty), shifting the entries >= it up by one: 1..f+1 when f < h,
-    1..h-1 when f = h, and the empty permutation grows into the singleton."""
+    """Prepend each value 1..k in ascending order, k the label (see _label),
+    shifting the entries >= it up by one; the empty permutation grows into the
+    singleton."""
     _require_perm_member(pi, h)
     e = pi.entries
     out: list[Permutation] = []
     # ell before 1..n shifted past it rearranges 1..n+1
-    for ell in range(1, _sites(e[0] if e else 0, h) + 1):
+    for ell in range(1, _label(e[0] if e else 0, h) + 1):
         rescaled = tuple(v + 1 if v >= ell else v for v in e)
         out.append(_trusted((ell,) + rescaled))
     return out
 
 
 def perm_label(pi: Permutation, h: int) -> Label:
-    """Tree label of a permutation: 1 when empty, first entry + 1, except h-1
-    when the first entry is h. Agrees with grow()'s labels across the bijection."""
+    """Tree label of a permutation, by its first entry (see _label). Agrees
+    with grow()'s labels across the bijection."""
     _require_perm_member(pi, h)
     return _label(pi.entries[0] if pi.entries else 0, h)

@@ -845,6 +845,37 @@ def test_closed_pipe_is_quiet(argv, stdin, read, code, err, unbuffered):
     assert stderr.startswith(err) and stderr.count(b"\n") == (1 if err else 0)
 
 
+@pytest.mark.parametrize(
+    "argv, fd, code, err",
+    [
+        # --out is written as when stdout is open
+        (["count", "--h", "3", "--n-max", "3", "--out"], 1, 0, b""),
+        (["count", "--h", "3", "--n-max", "3"], 1, 2, b"error: stdout is closed\n"),
+        (["map"], 0, 2, b"error: stdin is closed\n"),
+    ],
+    ids=["stdout-with-out", "stdout", "stdin"],
+)
+def test_closed_stream(tmp_path, argv, fd, code, err):
+    # `>&-` or `<&-`: fd 1 or 0 is closed when Python starts, so sys.stdout or
+    # sys.stdin is None; no traceback, and the file is replaced only on success
+    target = tmp_path / "f"
+    target.write_text("old\n")
+    if argv[-1] == "--out":
+        argv = [*argv, str(target)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyck312", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(fd),
+        env=SUBPROCESS_ENV,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert target.read_text() == ("1,1,2,5\n" if "--out" in argv else "old\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
 def test_optimized_interpreter(capsys):
     # -O strips assert statements, so the checks these commands rely on must raise instead
     def run_optimized(*argv):

@@ -108,6 +108,17 @@ def test_disagreement(monkeypatch):
     assert str(exc) == "n=2: recurrence=1, series=2, matrix=2, brute=2, eco=2"
 
 
+def test_eco_route_counts_the_labels(monkeypatch):
+    # a fault in the tree's labels alone, each child labelled h read as h+1: the
+    # eco route sums the labels of the level before the last, so it disagrees
+    grow = eco.grow
+    monkeypatch.setattr(eco, "grow", lambda w, h: [(c, k + (k == h)) for c, k in grow(w, h)])
+    with pytest.raises(MethodDisagreement) as info:
+        count(4, 10)
+    assert info.value.n == 10
+    assert info.value.values == {m: 7901 for m in ROUTES} | {"eco": 8523}
+
+
 def _bump(terms, i):
     """terms with term i one larger."""
     return (*terms[:i], terms[i] + 1, *terms[i + 1 :])

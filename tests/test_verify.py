@@ -99,6 +99,11 @@ def _grow_duplicate(word, h):
     return [kids[0], kids[0], *kids[2:]] if len(kids) > 1 else kids
 
 
+def _grow_labels_only(word, h):
+    """grow(), with each child's label k read as k + 1 where k = h."""
+    return [(w, k + (k == h)) for w, k in _grow(word, h)]
+
+
 # the same, for the tree that eco.grow makes and the permutation side of it
 ECO_BREAKS = {
     "grow-non-member": (
@@ -120,10 +125,22 @@ ECO_BREAKS = {
         },
     ),
     "label-off-by-one": (
-        # a run of h-1 ups labelled h+1, a label the rule does not have
-        [(eco, "_label", lambda run, h: _label(run, h) + (run == h - 1))],
+        # a run of h-1 ups labelled h+1, a label the rule does not have; the label
+        # is the site count too, so such a node also grows one child too many
+        [(eco, "_label", lambda t, h: _label(t, h) + (t == h - 1))],
+        {
+            "eco-disjoint-and-complete": "first failure: h=3, level 3 has duplicates",
+            "eco-label-coherence": "first failure: h=3, parent 'UD'",
+            "eco-perm-commutation": "first failure: h=3, parent 'UUDD'",
+            "eco-symbolic-agreement": "first failure: h=3, level 2",
+        },
+    ),
+    "grow-labels-only": (
+        # the children are right, but a child labelled h is labelled h+1
+        [(eco, "grow", _grow_labels_only)],
         {
             "eco-label-coherence": "first failure: h=3, parent 'UD'",
+            "eco-perm-commutation": "first failure: h=3, parent 'UD'",
             "eco-symbolic-agreement": "first failure: h=3, level 2",
         },
     ),
