@@ -1,9 +1,11 @@
 """Command-line surface: counting, listing, mapping, tree/matrix/table
 rendering, and the cross-validation suite.
 
-Each command checks its arguments (count leaves that, the clamp of --h and
-the cross-check of the routes to counting.count) and returns its exit code and
-its output lines; main writes all output, to stdout or to --out, in one place.
+Each command checks only what no engine checks: count leaves its arguments, the
+clamp of --h and the cross-check of the routes to counting.count, list and tree
+theirs to eco.walk, and matrix its floor of --h to production_matrix, so a fault
+reads the same from the shell and from the library. Each returns its exit code
+and its output lines; main writes all output, to stdout or to --out, in one place.
 A command whose code depends on every line it writes (map) returns the code as
 a callable instead, which main calls after the lines are written.
 
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="auto infers from the line's alphabet",
     )
-    p.add_argument("--out", default=None)
+    _output_flags(p)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("tree", help="print the generating tree to a depth")
@@ -115,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    p.add_argument("--format", choices=formats, default="text")
+def _output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
+    if formats:
+        p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
@@ -157,10 +160,10 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         with open(out, "w") as fh:
             fh.writelines(text)
         return
-    # write beside the file a symlink resolves to and rename, so a failed write
-    # leaves no partial file; the pid keeps concurrent runs' temporary names apart
+    # write beside the file a symlink resolves to and rename, so a failed write leaves
+    # no partial file; the name keeps runs apart by pid, and is short whatever the target's
     target = os.path.realpath(out)
-    tmp = f"{target}.{os.getpid()}.tmp"
+    tmp = os.path.join(os.path.dirname(target), f".dyck312-{os.getpid()}.tmp")
     made = False
     try:
         # "x" is O_EXCL: never write through a file or symlink planted at the name
@@ -236,10 +239,6 @@ def _render(word: str, kind: str) -> str:
 
 
 def _cmd_list(args) -> tuple[int, Iterable[str]]:
-    if args.h < 3:
-        raise ValueError("--h must be >= 3; labels come from the generating tree")
-    if args.n < 0:
-        raise ValueError("--n must be >= 0")
     # level n is the walk's nodes of semilength n, in tree order; they stream to _emit
     nodes = eco.walk(args.h, args.n)
     rows = ((_render(word, args.kind), label) for word, label in nodes if len(word) == 2 * args.n)
@@ -305,8 +304,6 @@ def _cmd_map(args) -> tuple[Callable[[], int], Iterator[str]]:
 
 
 def _cmd_tree(args) -> tuple[int, Iterable[str]]:
-    if args.depth < 0:
-        raise ValueError("--depth must be >= 0")
     # (depth, object, label) per node, depth first; semilength d sits at depth d
     walk = (
         (len(word) // 2, _render(word, args.kind), label)
@@ -354,8 +351,6 @@ def _close_nodes(last: int, depth: int) -> list[str]:
 
 
 def _cmd_matrix(args) -> tuple[int, Iterable[str]]:
-    if args.h < 2:
-        raise ValueError("--h must be >= 2")
     if args.h > counting.LARGE_N_LIMIT:
         raise ValueError(f"--h above {counting.LARGE_N_LIMIT} is not supported")
     rows = prodmat.production_matrix(args.h).rows

@@ -122,9 +122,9 @@ def symbolic_counts(rule: SuccessionRule, n: int) -> tuple[int, dict[Label, int]
     return sum(counts.values()), dict(counts)
 
 
-def _require_depth(name: str, n: int) -> None:
+def _require_level(n: int) -> None:
     if n < 0:
-        raise ValueError(f"{name} must be >= 0, got {n}")
+        raise ValueError(f"level must be >= 0, got {n}")
     if n > DEFAULT_TREE_CAP:
         raise CapExceeded(f"level {n} exceeds tree cap {DEFAULT_TREE_CAP}")
 
@@ -140,7 +140,7 @@ def iter_levels(h: int, n_max: int) -> Iterator[list[tuple[str, Label]]]:
     breadth-first reference that the tests compare walk() against.
     """
     _require_h(h)
-    _require_depth("n_max", n_max)
+    _require_level(n_max)
     level = [("", 1)]
     yield level
     for _ in range(n_max):
@@ -155,7 +155,7 @@ def walk(h: int, depth: int) -> Iterator[tuple[str, Label]]:
     siblings along one root-to-node path are held, O(depth * h) nodes rather
     than a level. The checks run at the call, before any node is asked for."""
     _require_h(h)
-    _require_depth("depth", depth)
+    _require_level(depth)
     return _walk(h, depth)
 
 
@@ -177,7 +177,7 @@ def level_sizes(h: int, n_max: int) -> list[int]:
     short; each node of level n_max-1 adds its label, its number of children,
     to level n_max, so the last level, the largest, is counted but never made."""
     _require_h(h)
-    _require_depth("n_max", n_max)
+    _require_level(n_max)
     sizes = [0] * (n_max + 1)
     last = 2 * n_max - 2  # the length of a word on level n_max-1
     for word, label in _walk(h, n_max - 1):

@@ -108,8 +108,6 @@ def count_sequence(h: int, n_max: int) -> tuple[int, ...]:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
 
     def d(g: int) -> tuple[int, ...]:  # through x^min(degree, n_max): no later term is read
         return (1, *(-_coeff(g, j) for j in range(1, min((g + 2) // 2, n_max) + 1)))

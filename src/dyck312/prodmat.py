@@ -54,7 +54,7 @@ def production_matrix(h: int) -> ProductionMatrix:
     1..i+1, and the last row is row h - 2 plus 1 at column h - 2.
     """
     if h < 2:
-        raise ValueError(f"defined for h >= 2, got {h}")
+        raise ValueError(f"the production matrix needs h >= 2, got {h}")
     rows = [[0] + [1] * (i + 1) + [0] * (h - 2 - i) for i in range(h - 1)]
     rows.append(rows[-1][:])
     rows[-1][h - 2] += 1
@@ -115,7 +115,7 @@ def height_totals(h: int, n_max: int) -> tuple[int, ...]:
     t steps before the last is read at rows 0..t only, so its slice ends at
     min(t + 2, h)."""
     if h < 2:
-        raise ValueError(f"defined for h >= 2, got {h}")
+        raise ValueError(f"the production matrix needs h >= 2, got {h}")
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     vec = [1] * h

@@ -132,20 +132,17 @@ def _down_run_trace(p: dyck.DyckPath) -> list[tuple[perm_mod.LrMaximum, int]]:
     stack: list[int] = []
     trace: list[tuple[perm_mod.LrMaximum, int]] = []
     label = 0
-    level = 0
     downs = 0
     prev = ""
     for c in p.word:
         if c == "U":
             label += 1
-            level += 1
             stack.append(label)
         else:
-            level -= 1
             downs += 1
             matched = stack.pop()
-            if prev != "D":
-                trace.append((perm_mod.LrMaximum(downs, matched), level))
+            if prev != "D":  # the height reached is the number of ups still open
+                trace.append((perm_mod.LrMaximum(downs, matched), len(stack)))
         prev = c
     return trace
 

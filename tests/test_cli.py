@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import dyck312
-from dyck312 import bijection, cli, dyck, eco, genfunc
+from dyck312 import bijection, cli, dyck, eco, genfunc, prodmat
 from dyck312.cli import main
 from dyck312.counting import ROUTES
 from dyck312.verify import VerifyBounds
@@ -510,6 +510,26 @@ class TestMatrix:
         assert err == "error: --h above 512 is not supported\n"
 
 
+ENGINE_ERRORS = {
+    "list --h 2 --n 2": lambda: eco.walk(2, 2),
+    "list --h 3 --n -1": lambda: eco.walk(3, -1),
+    "list --h 3 --n 13": lambda: eco.walk(3, 13),
+    "tree --h 2 --depth 0": lambda: eco.walk(2, 0),
+    "tree --h 3 --depth -1": lambda: eco.walk(3, -1),
+    "tree --h 3 --depth 13": lambda: eco.walk(3, 13),
+    "matrix --h 1": lambda: prodmat.production_matrix(1),
+}
+
+
+@pytest.mark.parametrize("command, engine", ENGINE_ERRORS.items(), ids=list(ENGINE_ERRORS))
+def test_usage_error_is_the_engines(capsys, command, engine):
+    # list, tree and matrix leave these checks to the engine: the shell reports the
+    # library's exception, word for word
+    with pytest.raises(ValueError) as info:
+        engine()
+    assert run(capsys, *command.split()) == (2, "", f"error: {info.value}\n")
+
+
 class TestTable:
     def test_text_contains_last_row(self, capsys):
         code, out, _ = run(capsys, "table")
@@ -756,7 +776,7 @@ class TestOutputFile(object):
         victim = tmp_path / "victim.txt"
         if victim_exists:
             victim.write_text("victim\n")
-        tmp = f"{os.path.realpath(target)}.{os.getpid()}.tmp"
+        tmp = tmp_path / f".dyck312-{os.getpid()}.tmp"
         os.symlink(victim, tmp)
         code, out, err = run(capsys, "count", "--h", "3", "--n-max", "3", "--out", str(target))
         assert (code, out) == (2, "")
@@ -767,6 +787,15 @@ class TestOutputFile(object):
         else:
             assert not os.path.lexists(victim)
         assert os.path.islink(tmp)  # not this run's file, so not removed
+
+    def test_long_name(self, capsys, tmp_path):
+        # a 250-byte name, under NAME_MAX (255), is written as a shell `>` writes it:
+        # the temporary name does not grow with the target's
+        target = tmp_path / ("a" * 250)
+        code, out, _ = run(capsys, "count", "--h", "3", "--n-max", "3", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text() == "1,1,2,5\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
     def test_fifo_target(self, capsys, tmp_path):
         # a target that is not a regular file (a pipe here, or /dev/null) is written

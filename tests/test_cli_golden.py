@@ -172,13 +172,13 @@ GOLDEN = {
     'tree --h 4 --depth 0 --kind perms --format json': (0, '41f33a06b433bd446eb90413078c0528521dcae77fbd4efd81fc9468eacd2e81', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'tree --h 4 --depth 5 --kind perms --format json': (0, 'c663b9b49315b50433f7a0f8770e2b4c1f336f47eb6c3485996035323be13a57', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'list --h 3 --n 3': (0, '7980b8700fec2cbd7aa9051fae505c2a82db2fce5fb0a24497e1ba67b2020797', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'list --h 2 --n 2': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'fb7ab41bfca40822c643af15eb212afcbac23b0ab6179a0bbf3e4d4640790285'),
-    'list --h 3 --n -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '9ad9b03c6116e54f71b619e17dedc833f986e7f5e4e0cfd028e94481a47354b3'),
+    'list --h 2 --n 2': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e695bc30978c0889f01cc85c56cdcef360fc56d29ae5fc1e788c4bbf57b6a1b1'),
+    'list --h 3 --n -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '3abe844e6acee2d7ffa652d0e34be6369f3d8141c80bfc15a33bcb7ac8e7a54c'),
     'list --h 3 --n 13': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c7db0042579fc597425103a1ea55b12ae31f579a272ac99f0314964942c88186'),
     'tree --h 3 --depth 4': (0, 'e37b382a31ac0509e1e86abb3340e9e95c87ccfba3a6e9f88cee6d907e2a4655', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'tree --h 3 --depth 4 --kind perms': (0, '5b653a356ddfd65cf14e162e743853ede47e9056781810de031a339e1ea4f252', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'tree --h 2 --depth 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e695bc30978c0889f01cc85c56cdcef360fc56d29ae5fc1e788c4bbf57b6a1b1'),
-    'tree --h 3 --depth -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f99b1bf439f4036685d5084b1af68b2e8cc717ffbaa3eb65db806ab4ad62dcb3'),
+    'tree --h 3 --depth -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '3abe844e6acee2d7ffa652d0e34be6369f3d8141c80bfc15a33bcb7ac8e7a54c'),
     'tree --h 3 --depth 13': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c7db0042579fc597425103a1ea55b12ae31f579a272ac99f0314964942c88186'),
     'matrix --h 2 --format text': (0, 'f8e436185d5fa1ce802f69712472c2c11d0d66461ccb3fbba4efb42b76823ae3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'matrix --h 2 --format json': (0, '14baed9d2717a9c05a750d8a054efa09ea5f69bf6fce6d4c0ae53441ddb60f8e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -188,7 +188,7 @@ GOLDEN = {
     'matrix --h 5 --format json': (0, '2514ed945417a960c214102aef4bd54bea9b6c9f77d6670c5fcb62c210100c0e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'matrix --h 512': (0, '0ac791fd5209af38d6067da3c03a94e7f2d53851bb79e08dcb2f16a6f1562a91', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'matrix --h 512 --format json': (0, 'd45187d99f310643d7e4a5329d8c8a86d1cf5dece55b2d3ea7a65b4a639fd08a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'matrix --h 1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd96bdefe730eddece52351c2f15b3fcc54b9c6364ae3a99051e27ddfe5ecb3e4'),
+    'matrix --h 1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0ac5b422c9f800e96154b498ec6a757d14f1d0f01ec2d617f820b0ca51392f75'),
     'table --h-max 14 --j-max 8': (0, '9e00c798e7746827651927fcc8baf1e1154e24d1e251f8257d6b45657c9b87c0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 512 --j-max 512 --format csv': (0, '16fcb7e11a00b84de00b1c44967cf7ddc72860e05027ef4bc8b8826c1d10a629', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 512 --j-max 512 --format json': (0, 'b559bb5ea7c23770d99ae3b39210c8402cf3e41985a7845f96c49599bbc69154', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

@@ -184,7 +184,7 @@ class TestWalk:
         "h, depth, error, message",
         [
             (2, 3, ValueError, "the growth operator needs h >= 3, got 2"),
-            (3, -1, ValueError, "depth must be >= 0, got -1"),
+            (3, -1, ValueError, "level must be >= 0, got -1"),
             (3, 13, CapExceeded, "level 13 exceeds tree cap 12"),
         ],
     )
@@ -207,7 +207,7 @@ class TestLevelSizes:
         "h, n_max, error, message",
         [
             (2, 3, ValueError, "the growth operator needs h >= 3, got 2"),
-            (3, -1, ValueError, "n_max must be >= 0, got -1"),
+            (3, -1, ValueError, "level must be >= 0, got -1"),
             (3, 13, CapExceeded, "level 13 exceeds tree cap 12"),
         ],
     )

@@ -190,6 +190,9 @@ class TestCountRecurrence:
     def test_rejects_height_zero(self):
         with pytest.raises(ValueError, match="^h must be >= 1, got 0$"):
             genfunc.count_sequence(0, 3)
+        # the size is series' check, made once, with series' message
+        with pytest.raises(ValueError, match="^n_max must be >= 0, got -1$"):
+            genfunc.count_sequence(3, -1)
 
     def test_reads_only_the_coefficients_it_uses(self, monkeypatch):
         # d(999) and d(1000) have degree 500 and 501; sizes 0..3 read them through x^3

@@ -40,7 +40,7 @@ class TestProductionMatrix:
 
     def test_rejects_h_below_two(self):
         for h in (1, 0, -3):
-            with pytest.raises(ValueError, match=rf"^defined for h >= 2, got {h}$"):
+            with pytest.raises(ValueError, match=rf"^the production matrix needs h >= 2, got {h}$"):
                 prodmat.production_matrix(h)
 
     @pytest.mark.parametrize("h", [*range(2, 65), 512])
@@ -166,7 +166,7 @@ class TestLevelCount:
                     assert totals == tuple(sum(v) for v in _dense_levels(m.rows, 1, n)), (h, n)
 
     def test_height_route_arguments(self):
-        with pytest.raises(ValueError, match=r"^defined for h >= 2, got 1$"):
+        with pytest.raises(ValueError, match=r"^the production matrix needs h >= 2, got 1$"):
             prodmat.height_totals(1, 2)
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             prodmat.height_totals(3, -1)
