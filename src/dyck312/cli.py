@@ -394,10 +394,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
             "results": [r._asdict() for r in results],
         }
         return code, _json_doc("verify", payload)
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else "")
-        for r in results
-    ]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail})" for r in results]
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     return code, lines
 

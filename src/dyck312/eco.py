@@ -111,7 +111,7 @@ def succession_rule(h: int) -> SuccessionRule:
 def symbolic_counts(rule: SuccessionRule, n: int) -> tuple[int, dict[Label, int]]:
     """Size and label multiset of level n of the pure generating tree."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"level must be >= 0, got {n}")
     counts: Counter[Label] = Counter({rule.axiom: 1})
     for _ in range(n):
         nxt: Counter[Label] = Counter()

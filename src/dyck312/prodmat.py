@@ -84,7 +84,7 @@ def _levels(matrix: ProductionMatrix, axiom: Label, n_max: int) -> Iterator[list
     if not 1 <= axiom <= d:
         raise ValueError(f"axiom ({axiom}) outside 1..{d}")
     if n_max < 0:
-        raise ValueError(f"n must be >= 0, got {n_max}")
+        raise ValueError(f"level must be >= 0, got {n_max}")
     cols = list(zip(*matrix.rows))
     vec = [int(i == axiom - 1) for i in range(d)]
     yield vec
@@ -117,7 +117,7 @@ def height_totals(h: int, n_max: int) -> tuple[int, ...]:
     if h < 2:
         raise ValueError(f"the production matrix needs h >= 2, got {h}")
     if n_max < 0:
-        raise ValueError(f"n must be >= 0, got {n_max}")
+        raise ValueError(f"level must be >= 0, got {n_max}")
     vec = [1] * h
     totals = [1]
     for t in range(n_max - 1, -1, -1):

@@ -16,8 +16,9 @@ from . import bijection, dyck, eco, genfunc, prodmat
 from . import perm as perm_mod
 
 class VerifyBounds(namedtuple("VerifyBounds", "n_max h_max identity_n_max", defaults=(8, 5, 12))):
-    # n_max: object size for bijection/eco sweeps
-    # h_max: height bound for eco sweeps
+    # n_max: largest size of the bijection sweep; the eco sweep's levels run to n_max + 1
+    # h_max: largest height of the eco sweep
+    # identity_n_max: largest n of the identity sweep and largest h of the cutoff
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
@@ -45,8 +46,7 @@ class VerifyBounds(namedtuple("VerifyBounds", "n_max h_max identity_n_max", defa
         return self
 
 
-class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
-    __slots__ = ()
+CheckResult = namedtuple("CheckResult", "name passed detail covered", defaults=("", None))
 
 
 def run(scope: str = "all", bounds: VerifyBounds = VerifyBounds()) -> list[CheckResult]:
@@ -59,25 +59,27 @@ def run(scope: str = "all", bounds: VerifyBounds = VerifyBounds()) -> list[Check
     return results
 
 
-def _result(name: str, bad: list, covered: str) -> CheckResult:
-    """Pass with the covered bounds as detail, or fail on the first bad case."""
-    return CheckResult(name, not bad, covered if not bad else f"first failure: {bad[0]}")
+def _result(name: str, bad: list, **covered) -> CheckResult:
+    """Fail on the first bad case, or pass with detail k=lo..hi per keyword k: the
+    range the check runs, or (lo, hi), hi perhaps a bound that moves ("n+1")."""
+    covered = {k: (v[0], v[-1]) for k, v in covered.items()}
+    detail = ", ".join(f"{k}={lo}..{hi}" for k, (lo, hi) in covered.items())
+    return CheckResult(name, not bad, f"first failure: {bad[0]}" if bad else detail, covered)
 
 
 def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
     """One pass per size n: each path's image is built once and feeds the
-    path-side checks and the image sets; for n <= 9 one sweep of the n!
+    path-side checks and the image sets; for n <= perm_n one sweep of the n!
     permutations feeds the permutation round trip, the sets the images are
-    compared with and, for n <= 8, the cubic oracle."""
-    n_max = bounds.n_max
-    perm_n = min(n_max, 9)
-    cubic_n = min(n_max, 8)
+    compared with and, for n <= cubic_n, the cubic oracle."""
+    sizes = range(bounds.n_max + 1)
+    perm_n, cubic_n = min(bounds.n_max, 9), min(bounds.n_max, 8)
     path_bad: list[str] = []
     perm_bad: list[str] = []
     cubic_bad: list[str] = []
     lrm_bad: list[str] = []
     image_bad: list[str] = []
-    for n in range(n_max + 1):
+    for n in sizes:
         images = []  # (image, height, path), kept only where the image sets are compared
         for p in dyck.enumerate_dyck(n):
             pi = bijection.path_to_perm(p)
@@ -118,11 +120,11 @@ def _bijection_checks(bounds: VerifyBounds) -> list[CheckResult]:
                 image_bad.append(f"n={n}, h={h}")
 
     return [
-        _result("path-round-trip", path_bad, f"n<={n_max}"),
-        _result("perm-round-trip", perm_bad, f"n<={perm_n}"),
-        _result("stack-matches-cubic", cubic_bad, f"n<={cubic_n}"),
-        _result("lrm-excess-heights", lrm_bad, f"n<={n_max}"),
-        _result("image-characterizations", image_bad, f"n<={perm_n}, h<=n+1"),
+        _result("path-round-trip", path_bad, n=sizes),
+        _result("perm-round-trip", perm_bad, n=(0, perm_n)),
+        _result("stack-matches-cubic", cubic_bad, n=(0, cubic_n)),
+        _result("lrm-excess-heights", lrm_bad, n=sizes),
+        _result("image-characterizations", image_bad, n=(0, perm_n), h=(1, "n+1")),
     ]
 
 
@@ -155,22 +157,22 @@ def _identity_checks(bounds: VerifyBounds) -> list[CheckResult]:
     comb(alpha, n - 1) times a linear factor. Its zeros at alpha = 0..n make
     it zero for every alpha >= 0 (the "N_0 suffices" argument of Petkovsek,
     Wilf and Zeilberger, A = B)."""
-    n_max = bounds.identity_n_max
+    sweep_ns, cutoff_hs = range(1, bounds.identity_n_max + 1), range(2, bounds.identity_n_max + 1)
     sweep_bad = [
         (n, alpha)
-        for n in range(1, n_max + 1)
+        for n in sweep_ns
         for alpha in range(n + 1)
         if not genfunc.catalan_identity(n, alpha)
     ]
     cutoff_bad = [
         (h, n)
-        for h in range(2, n_max + 1)
+        for h in cutoff_hs
         for n, count in enumerate(genfunc.count_sequence(h, h))
         if count != dyck.catalan(n)
     ]
     return [
-        _result("catalan-identity-sweep", sweep_bad, f"n<={n_max}, alpha<=n: every alpha>=0"),
-        _result("catalan-cutoff", cutoff_bad, f"2<=h<={n_max}, n<=h"),
+        _result("catalan-identity-sweep", sweep_bad, n=sweep_ns, alpha=(0, "n")),
+        _result("catalan-cutoff", cutoff_bad, h=cutoff_hs, n=(0, "h")),
     ]
 
 
@@ -181,7 +183,7 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
     check. Each child is tested once and grown only if it is a member; the
     cover check streams the level's brute-force members past one set of its
     words."""
-    n_max = min(bounds.n_max, 9)
+    levels = range(1, min(bounds.n_max, 9) + 2)
     h_range = range(3, bounds.h_max + 1)
 
     membership_bad: list[str] = []
@@ -192,7 +194,7 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
     for h in h_range:
         rule = eco.succession_rule(h)
         level = [("", rule.axiom)]
-        for n in range(1, n_max + 2):
+        for n in levels:
             members = []
             for word, label in level:
                 kids = eco.grow(word, h)
@@ -228,13 +230,12 @@ def _eco_checks(bounds: VerifyBounds) -> list[CheckResult]:
             if total != len(level) or per_label != dict(Counter(k for _, k in level)):
                 count_bad.append(f"h={h}, level {n}")
 
-    covered = f"h in {list(h_range)}, n<={n_max}"
     return [
-        _result("eco-children-in-class", membership_bad, covered),
-        _result("eco-disjoint-and-complete", cover_bad, covered),
-        _result("eco-label-coherence", label_bad, covered),
-        _result("eco-perm-commutation", commute_bad, covered),
-        _result("eco-symbolic-agreement", count_bad, covered),
+        _result("eco-children-in-class", membership_bad, h=h_range, n=levels),
+        _result("eco-disjoint-and-complete", cover_bad, h=h_range, n=levels),
+        _result("eco-label-coherence", label_bad, h=h_range, n=levels),
+        _result("eco-perm-commutation", commute_bad, h=h_range, n=levels),
+        _result("eco-symbolic-agreement", count_bad, h=h_range, n=levels),
     ]
 
 
@@ -248,7 +249,7 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
         if prodmat.matrix_from_rule(eco.succession_rule(h)).rows
         != prodmat.production_matrix(h).rows
     ]
-    out.append(_result("rule-matrix-equality", bad, f"h={rule_hs[0]}..{rule_hs[-1]}"))
+    out.append(_result("rule-matrix-equality", bad, h=rule_hs))
 
     bad = []
     for h in row_hs:
@@ -256,7 +257,7 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
         for i, row in enumerate(m.rows, start=1):
             if sum(row) != i:
                 bad.append(f"h={h}, row ({i})")
-    out.append(_result("row-sums-match-labels", bad, f"h={row_hs[0]}..{row_hs[-1]}"))
+    out.append(_result("row-sums-match-labels", bad, h=row_hs))
 
     bad = []
     for h in label_hs:
@@ -268,7 +269,7 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
             as_dict = {i + 1: v for i, v in enumerate(vec) if v}
             if total != sym_total or as_dict != sym_labels:
                 bad.append(f"h={h}, n={n}")
-    out.append(_result("per-label-level-counts", bad, f"h={label_hs[0]}..{label_hs[-1]}, n<={label_ns[-1]}"))
+    out.append(_result("per-label-level-counts", bad, h=label_hs, n=label_ns))
 
     fib = genfunc.series(genfunc.generating_function(2), fib_n)
     routes = {  # h = 2 is where height_totals' last row adds x[0]
@@ -276,7 +277,7 @@ def _matrix_checks(bounds: VerifyBounds) -> list[CheckResult]:
         "height_totals": prodmat.height_totals(2, fib_n),
     }
     bad = [f"{route}: {totals} != {fib}" for route, totals in routes.items() if totals != fib]
-    out.append(_result("fibonacci-level-counts", bad, f"n<={fib_n}"))
+    out.append(_result("fibonacci-level-counts", bad, n=(0, fib_n)))
     return out
 
 

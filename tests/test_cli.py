@@ -500,10 +500,6 @@ class TestMatrix:
         doc = json.loads(out)
         assert doc["rows"] == [[0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 1, 1], [0, 1, 2, 1]]
 
-    def test_needs_h2(self, capsys):
-        code, _, _ = run(capsys, "matrix", "--h", "1")
-        assert code == 2
-
     def test_h_above_limit(self, capsys):
         code, out, err = run(capsys, "matrix", "--h", "513")
         assert (code, out) == (2, "")

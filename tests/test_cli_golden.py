@@ -196,13 +196,13 @@ GOLDEN = {
     'table --h-max 6 --j-max 4 --format csv': (0, 'b1399e795baff9f7036cfce1fd867cac6625d85ffa18c6cb5e881795cdc12381', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 6 --j-max 4 --format json': (0, '8805037d7b72039cc44e3b2e44c5770524ab80eecb36bf7ddf1f69fe53f0654c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'table --h-max 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '99a2584d9bd0aa85906f00c23d7536283d731279ac3d4c009ce6676e4247fc3e'),
-    'verify --scope all': (0, '2c47c62c002266b9b2e7fb75aa04981d9e78dae2a2fa06ee16d62317eac4799e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --scope bijection': (0, '57dd8ea281e18b48a3a2dfe0f051499fc1ee5dadc801166d8d24732c53ddd419', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --scope identities': (0, '14257ffc5190ad9ba4a06332bc3990a911b299555789732ef43d294a944831f1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --scope eco': (0, 'b2cb28ed11fd653820cafab87f51e3d452c912f64b494d509196bbd6e6f5a7fc', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --scope matrix': (0, '27a92bf3bb70d6aa4a3ac419bac93dff89021994e9dc082c66bf3cee514ff51b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --format json': (0, 'b02af82ecaf3c5487a0860d8a689c183dd0d3dd2f7f06436d629627500234741', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --n-max 5 --h-max 3 --identity-n-max 6': (0, '6725a7f8ed8ed10b622b6e101d4e4490b86b29f2277ea34b272d246c4ab1eacc', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --scope all': (0, '6f52f064be85caf7c31ffc580b08418c9cc7b1e494d6c744f436cd0dedb569ef', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --scope bijection': (0, 'bcc76dd4bc733dfee311beadc5ae9785bb0688d817b043977a36d8ffbf34ced2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --scope identities': (0, '5c32bd83b522215a606677cca5a82ae3a5dd663a723949370866ef2fe2b688dc', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --scope eco': (0, 'bcc0976061e23ca88c10d35ba9ce6926b8c94dad664c94fc972177882678d925', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --scope matrix': (0, '781c3a3527d2576c783aec0bdc0971cab3c1d1f711e0a967ab67998ac3aa05fb', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --format json': (0, 'd9fabf5537cebc0efd2cb7f20dee3ba2ca719951d853d04d10fd2880aa495bc8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --n-max 5 --h-max 3 --identity-n-max 6': (0, '5056c9e8fcdfdd284ada39f885b440d3cc0f084c02b2cc90b01564393752ceb6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'map --direction auto': (1, '51d9b05f7efa30ebadb8e58e5ca68a92240a435838a58591a9c8297d77d9e9e2', '30913568d3be3094268ca839d7b9bcc8973dfcbc1c882bdbd38b14d47d7747c0'),
     'map --direction to-perm': (1, '81dc1116592e6abe9ae8d94da266a61eeb86d1f2df813817de7139ff226e9b11', 'aba5f77a0a1aab1c5c6e7fc2002df6fbd2b004acac7a616d7aeb6ad2d3471124'),
     'map --direction to-path': (1, '9fafab1c8e43fe58caa68efef323d76b88adcf05a71962b2b2af0738999a8e4c', 'ab55824b4e375892ef42a5aa041d4a392999edd9bb0e73219b70faa4aa845028'),

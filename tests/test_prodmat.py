@@ -168,7 +168,7 @@ class TestLevelCount:
     def test_height_route_arguments(self):
         with pytest.raises(ValueError, match=r"^the production matrix needs h >= 2, got 1$"):
             prodmat.height_totals(1, 2)
-        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
             prodmat.height_totals(3, -1)
 
     def test_level_zero(self):
@@ -230,5 +230,5 @@ class TestLevelCount:
             fn(m, 0, 2)
         with pytest.raises(ValueError, match=r"^axiom \(4\) outside 1\.\.3$"):
             fn(m, 4, 2)
-        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
             fn(m, 1, -1)

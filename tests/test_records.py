@@ -22,7 +22,11 @@ RECORDS = [
     ),
     (ProductionMatrix, (((0, 1), (1, 1)),), "ProductionMatrix(rows=((0, 1), (1, 1)))"),
     (VerifyBounds, (), "VerifyBounds(n_max=8, h_max=5, identity_n_max=12)"),
-    (CheckResult, ("name", True), "CheckResult(name='name', passed=True, detail='')"),
+    (
+        CheckResult,
+        ("name", True, "n=0..1", {"n": (0, 1)}),
+        "CheckResult(name='name', passed=True, detail='n=0..1', covered={'n': (0, 1)})",
+    ),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
 
@@ -33,7 +37,7 @@ def test_equal_fields_make_equal_records(record, args, text):
     assert a is not b
     assert a == b
     assert repr(a) == text
-    if record is SuccessionRule:  # its productions are a dict
+    if record in (SuccessionRule, CheckResult):  # its productions, or what it covered, are a dict
         with pytest.raises(TypeError):
             hash(a)
     else:
@@ -54,7 +58,7 @@ def test_records_are_tuples_of_their_fields():
     bounds = VerifyBounds(n_max=3)
     assert bounds == (3, 5, 12) and bounds[0] == bounds.n_max == 3
     assert bounds._replace(h_max=4) == VerifyBounds(3, 4)
-    assert CheckResult("name", False)._asdict() == {"name": "name", "passed": False, "detail": ""}
+    assert CheckResult("name", False)._asdict() == dict(name="name", passed=False, detail="", covered=None)
     assert Permutation([2, 1]).entries == (2, 1)  # any iterable, held as a tuple
     assert ProductionMatrix([[0, 1], [1, 1]]).rows == ((0, 1), (1, 1))
     assert ProductionMatrix([[0, 1], [1, 1]]).dimension == 2

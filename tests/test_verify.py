@@ -3,6 +3,8 @@ generating tree or of the matrix product broken, each check must fail on the
 same first case and leave the others passing, and report it as a failure
 rather than raise."""
 
+from collections import Counter, defaultdict
+from itertools import permutations
 from operator import mul
 
 import pytest
@@ -13,6 +15,11 @@ from dyck312.dyck import DyckPath
 from dyck312.perm import Permutation
 
 _in_class = dyck.in_class
+_enumerate_dyck = dyck.enumerate_dyck
+_avoids_312_cubic = perm.avoids_312_cubic
+_catalan_identity = genfunc.catalan_identity
+_count_sequence = genfunc.count_sequence
+_succession_rule = eco.succession_rule
 _height = dyck.height
 _path_to_perm = bijection.path_to_perm
 _grow = eco.grow
@@ -231,18 +238,71 @@ def test_broken_matrix_product_reports_first_failure(monkeypatch, name):
     assert {r.name: r.detail for r in results if not r.passed} == failures
 
 
+def _swept(result, var):
+    """The values of var that result reports it covered, both ends included."""
+    lo, hi = result.covered[var]
+    return range(lo, hi + 1)
+
+
 def test_eco_scope_tests_each_path_once(monkeypatch):
     # one membership test per tree child and one per enumerated path for the cover check
     calls = []
     monkeypatch.setattr(dyck, "in_class", lambda p, h, k=2: calls.append(p) or _in_class(p, h, k))
-    bounds = verify.VerifyBounds()
-    assert all(r.passed for r in verify.run("eco", bounds))
-    levels = range(1, bounds.n_max + 2)
-    children = sum(
-        eco.symbolic_counts(eco.succession_rule(h), n)[0] for h in range(3, bounds.h_max + 1) for n in levels
-    )
-    enumerated = (bounds.h_max - 2) * sum(dyck.catalan(n) for n in levels)
+    results = verify.run("eco")
+    assert all(r.passed for r in results)
+    heights, levels = _swept(results[0], "h"), _swept(results[0], "n")
+    children = sum(eco.symbolic_counts(eco.succession_rule(h), n)[0] for h in heights for n in levels)
+    enumerated = len(heights) * sum(dyck.catalan(n) for n in levels)
     assert len(calls) == children + enumerated
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    # at n_max = 11 every clamp binds: the n! sweep stops at 9, the cubic oracle at 8
+    # and the tree's levels at 10
+    [verify.VerifyBounds(), verify.VerifyBounds(n_max=11, h_max=3)],
+    ids=["defaults", "n_max=11"],
+)
+def test_reported_ranges_are_the_ranges_run(monkeypatch, bounds):
+    # each check's covered ranges against the arguments its loops hand to the engines
+    asked = defaultdict(list)
+
+    def record(key, fn, arg=lambda *args: args):
+        return lambda *args: asked[key].append(arg(*args)) or fn(*args)
+
+    monkeypatch.setattr(dyck, "enumerate_dyck", record("paths", _enumerate_dyck, lambda n: n))
+    monkeypatch.setattr(verify, "iter_permutations", record("perms", permutations, len))
+    monkeypatch.setattr(perm, "avoids_312_cubic", record("cubic", _avoids_312_cubic, lambda p: len(p.entries)))
+    monkeypatch.setattr(eco, "succession_rule", record("heights", _succession_rule, lambda h: h))
+    monkeypatch.setattr(genfunc, "catalan_identity", record("sweep", _catalan_identity))
+    monkeypatch.setattr(genfunc, "count_sequence", record("cutoff", _count_sequence))
+
+    results = verify.run("bijection", bounds)
+    assert all(result.passed for result in results)
+    sizes = {result.name: list(_swept(result, "n")) for result in results}
+    paths, perms, cubic = (sorted(set(asked.pop(key))) for key in ("paths", "perms", "cubic"))
+    assert paths == sizes["path-round-trip"] == sizes["lrm-excess-heights"]
+    assert perms == sizes["perm-round-trip"] == sizes["image-characterizations"]
+    assert cubic == sizes["stack-matches-cubic"]
+    assert (paths[-1], perms[-1], cubic[-1]) == (bounds.n_max, min(bounds.n_max, 9), min(bounds.n_max, 8))
+    assert results[-1].covered["h"] == (1, "n+1")
+
+    results = verify.run("eco", bounds)
+    assert all(result.passed for result in results)
+    assert all(result.covered == results[0].covered for result in results)
+    heights, levels = _swept(results[0], "h"), _swept(results[0], "n")
+    assert asked.pop("heights") == list(heights)
+    # the cover check enumerates each level once per height
+    assert Counter(asked.pop("paths")) == {n: len(heights) for n in levels}
+    assert levels[-1] == min(bounds.n_max, 9) + 1
+
+    sweep, cutoff = verify.run("identities", bounds)
+    assert sweep.passed and cutoff.passed
+    assert asked.pop("sweep") == [(n, alpha) for n in _swept(sweep, "n") for alpha in range(n + 1)]
+    assert sweep.covered["alpha"] == (0, "n")
+    assert asked.pop("cutoff") == [(h, h) for h in _swept(cutoff, "h")]
+    assert cutoff.covered["n"] == (0, "h")
+    assert sweep.covered["n"][1] == cutoff.covered["h"][1] == bounds.identity_n_max
 
 
 def test_identity_sweep_reaches_every_height_it_proves(monkeypatch):
